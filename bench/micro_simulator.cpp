@@ -7,6 +7,7 @@
 // scripts/run_bench.sh snapshots them into BENCH_micro.json per PR.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -450,6 +451,72 @@ void BM_PopulationBinChipDense(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PopulationBinChipDense);
+
+namespace binning_bench {
+
+/// Fail voltages of kDies consecutive default-spec dies (64 KB 4-way:
+/// 1024 blocks each), concatenated. The kernel benches below walk through
+/// them a die per iteration, so a branch predictor cannot learn one die's
+/// blocks by heart.
+constexpr std::size_t kDies = 16;
+
+std::vector<float> fleet_fail_voltages() {
+  const BerModel ber(Technology::soi45());
+  const PopulationSpec spec;
+  std::vector<float> vf;
+  for (u64 die = 0; die < kDies; ++die) {
+    Rng rng(derive_seed(spec.seed, 0, die));
+    const auto field = CellFaultField::sample_fast(
+        ber, spec.org.num_blocks(), spec.org.bits_per_block(), rng);
+    vf.insert(vf.end(), field.fail_voltages().begin(),
+              field.fail_voltages().end());
+  }
+  return vf;
+}
+
+}  // namespace binning_bench
+
+/// The histogram half of bin_chip alone: one 1024-block die bucketed on
+/// the default 56-level ladder. Items = dies.
+void BM_CountFailRungs(benchmark::State& state) {
+  const std::vector<float> fleet = binning_bench::fleet_fail_voltages();
+  const std::size_t blocks = fleet.size() / binning_bench::kDies;
+  const std::vector<Volt> grid = PopulationSpec{}.grid();
+  std::vector<u64> rungs(grid.size() + 2);
+  std::size_t die = 0;
+  for (auto _ : state) {
+    std::fill(rungs.begin(), rungs.end(), u64{0});
+    count_fail_rungs(std::span<const float>(fleet).subspan(die * blocks,
+                                                           blocks),
+                     grid, rungs);
+    benchmark::DoNotOptimize(rungs.data());
+    benchmark::ClobberMemory();
+    die = (die + 1) % binning_bench::kDies;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CountFailRungs);
+
+/// The viability floors of the population grid's 8 (size, assoc) points
+/// over one die: 32 and 64 KB (prefixes of the same 1024 blocks) times 2,
+/// 4, 8 and 16 ways. Items = dies.
+void BM_ChipFailVoltage(benchmark::State& state) {
+  const std::vector<float> fleet = binning_bench::fleet_fail_voltages();
+  const std::size_t blocks = fleet.size() / binning_bench::kDies;
+  std::size_t die = 0;
+  for (auto _ : state) {
+    const auto vf = std::span<const float>(fleet).subspan(die * blocks,
+                                                          blocks);
+    for (const std::size_t size : {blocks / 2, blocks}) {
+      for (const u32 assoc : {2u, 4u, 8u, 16u}) {
+        benchmark::DoNotOptimize(chip_fail_voltage(vf.first(size), assoc));
+      }
+    }
+    die = (die + 1) % binning_bench::kDies;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChipFailVoltage);
 
 // ---- Sample-once population grid engine ------------------------------------
 

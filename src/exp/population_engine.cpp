@@ -1,10 +1,12 @@
 #include "exp/population_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -18,18 +20,43 @@
 
 namespace pcs {
 
+namespace {
+
+void require_finite(Volt v, const char* field) {
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument(std::string("population ") + field +
+                                " must be finite");
+  }
+}
+
+}  // namespace
+
 std::vector<Volt> PopulationSpec::grid() const {
+  // Job lines set these fields, so nothing is allocated until they pass.
+  require_finite(grid_lo, "grid_lo");
+  require_finite(grid_hi, "grid_hi");
+  require_finite(grid_step, "grid_step");
   if (grid_step <= 0.0) {
     throw std::invalid_argument("population grid_step must be positive");
   }
-  std::vector<Volt> g;
-  // Half-step tolerance so the accumulated sum still lands on grid_hi.
-  for (Volt v = grid_lo; v <= grid_hi + grid_step * 0.5; v += grid_step) {
-    g.push_back(v);
+  // Half-step tolerance so the accumulated sum still lands on grid_hi. The
+  // levels are counted before the ladder is built, and the count stops at
+  // the cap, so a step too small to move the sum ends here too.
+  const Volt top = grid_hi + grid_step * 0.5;
+  std::size_t levels = 0;
+  for (Volt v = grid_lo; v <= top; v += grid_step) {
+    if (++levels > kMaxPopulationLevels) {
+      throw std::invalid_argument(
+          "population grid_lo..grid_hi at grid_step has more than " +
+          std::to_string(kMaxPopulationLevels) + " levels");
+    }
   }
-  if (g.empty()) {
+  if (levels == 0) {
     throw std::invalid_argument("population grid is empty (grid_lo > grid_hi)");
   }
+  std::vector<Volt> g;
+  g.reserve(levels);
+  for (Volt v = grid_lo; v <= top; v += grid_step) g.push_back(v);
   return g;
 }
 
@@ -43,10 +70,10 @@ ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
     return {};  // unusable: faulty even at the top level; skip the histogram
   }
 
-  // Per-level faulty counts in one O(blocks·log levels) pass. (The field's
-  // sweep index would answer the same queries, but its std::sort over a
-  // fresh random permutation per die costs ~2x this whole pass; counts are
-  // integers either way, so the results are bit-identical.)
+  // Per-level faulty counts in one O(blocks) pass. (The field's sweep index
+  // would answer the same queries, but its std::sort over a fresh random
+  // permutation per die costs many times this pass; counts are integers
+  // either way, so the results are bit-identical.)
   const u32 n = static_cast<u32>(grid.size());
   std::vector<u64> faulty_at(n + 2, 0);
   count_fail_rungs(field.fail_voltages(), grid, faulty_at);
@@ -60,11 +87,56 @@ void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
   // Block b is faulty at level l iff grid[l-1] <= vf[b], so bucketing each
   // block by how many ladder rungs sit at or below its fail voltage (and
   // later suffix-summing) gives every level's count at once.
-  for (const float v : vf) {
-    const auto rungs_below = std::upper_bound(grid.begin(), grid.end(),
-                                              static_cast<Volt>(v)) -
-                             grid.begin();
-    ++rung_counts[static_cast<std::size_t>(rungs_below)];
+  //
+  // That bucket, upper_bound(grid, vf[b]) - grid.begin(), costs O(1): two
+  // passes over each chunk of blocks. Pass 1 guesses it from the ladder's
+  // mean rung spacing; it has no branches, so it vectorizes and blocks off
+  // either end of the ladder cost no mispredicts. Pass 2 walks each guess
+  // to the exact bucket against the real rung values, compared in double
+  // as upper_bound compares them. The walk stops only where
+  // rung[k-1] <= v < rung[k], so the guess decides the speed, never the
+  // answer. On the engines' evenly spaced ladders it misses only for
+  // floats within rounding error of a rung.
+  const std::size_t n = grid.size();
+  if (n == 0) {
+    rung_counts[0] += vf.size();
+    return;
+  }
+  if (n > kMaxPopulationLevels) {
+    throw std::invalid_argument(
+        "count_fail_rungs: ladder longer than kMaxPopulationLevels");
+  }
+  // The ladder between NaN sentinels: every comparison with rung[-1] or
+  // rung[n] is false, so the walks stop at both ends without bound checks.
+  std::array<double, kMaxPopulationLevels + 2> padded;
+  padded[0] = std::numeric_limits<double>::quiet_NaN();
+  std::copy(grid.begin(), grid.end(), padded.begin() + 1);
+  padded[n + 1] = padded[0];
+  const double* rung = padded.data() + 1;
+
+  const double lo = grid.front();
+  const double width = grid.back() - lo;
+  const double rungs_per_volt =
+      width > 0.0 ? static_cast<double>(n - 1) / width : 0.0;
+  const double top = static_cast<double>(n);
+  constexpr std::size_t kChunk = 256;
+  std::array<int, kChunk> guess;
+  for (std::size_t at = 0; at < vf.size(); at += kChunk) {
+    const std::size_t m = std::min(kChunk, vf.size() - at);
+    const float* v = vf.data() + at;
+    for (std::size_t i = 0; i < m; ++i) {
+      double g = (static_cast<double>(v[i]) - lo) * rungs_per_volt + 1.0;
+      g = g < top ? g : top;  // NaN, +inf, above the ladder: n
+      g = g > 0.0 ? g : 0.0;  // -inf, below the ladder: 0
+      guess[i] = static_cast<int>(g);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      const double d = v[i];
+      std::ptrdiff_t k = guess[i];
+      while (rung[k] <= d) ++k;
+      while (rung[k - 1] > d) --k;
+      ++rung_counts[static_cast<std::size_t>(k)];
+    }
   }
 }
 

@@ -26,8 +26,8 @@
 // The per-chip inner loop is the PR 6 fused Monte-Carlo kernel: one
 // CellFaultField::sample_fast draw per die, chip_fail_voltage() for the
 // viability floor (one scalar encodes pass/fail at every voltage), and one
-// histogram pass over the block fail voltages for every level's capacity
-// behind the SPCS level search.
+// O(1)-per-block histogram pass over the block fail voltages for every
+// level's capacity behind the SPCS level search.
 #pragma once
 
 #include <functional>
@@ -51,6 +51,11 @@ namespace pcs {
 /// Capacity-at-floor histogram resolution (fixed bins over [0, 1]).
 inline constexpr u32 kPopulationCapacityBins = 100;
 
+/// Longest VDD ladder a population run accepts. Results hold a
+/// levels-by-levels histogram, so the cap bounds a run's memory whatever
+/// a job line asks for; PopulationSpec::grid() enforces it.
+inline constexpr u32 kMaxPopulationLevels = 1024;
+
 /// One population run, fully specified. Every field participates in the
 /// determinism contract except `chips_per_shard`, which must not change any
 /// result (asserted by tests/test_population.cpp).
@@ -71,6 +76,10 @@ struct PopulationSpec {
   /// Chips per shard (result-invariant; tunes task granularity only).
   u64 chips_per_shard = 4096;
 
+  /// The ladder's levels. Throws std::invalid_argument, naming the field,
+  /// for a non-finite grid_lo/grid_hi/grid_step, a step <= 0, an empty
+  /// ladder, or more than kMaxPopulationLevels levels -- all before the
+  /// ladder is allocated.
   std::vector<Volt> grid() const;
 };
 
@@ -83,18 +92,24 @@ struct ChipBinPoint {
 
 /// Bins one manufactured die against a VDD ladder: viability floor via the
 /// fused fail-voltage kernel, then every level's effective capacity from a
-/// single histogram pass over the per-block fail voltages (no sort, no
-/// dense FaultMap). Exposed for tests and the micro-benchmarks.
+/// single O(1)-per-block histogram pass over the per-block fail voltages
+/// (no sort, no dense FaultMap). Exposed for tests and the
+/// micro-benchmarks.
 ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
                       std::span<const Volt> grid, double min_capacity);
 
 /// The histogram half of bin_chip: adds each block's ladder bucket to
 /// `rung_counts`, where block b lands in index upper_bound(grid, vf[b]) --
-/// the number of ladder rungs at or below its fail voltage. `rung_counts`
-/// must have grid.size() + 2 entries; suffix-summing indices n..1 turns the
-/// buckets into per-level faulty counts. Additive, so the grid engine can
-/// extend a smaller cache's counts with just the new blocks of the next
-/// size up (the draw prefix property, see population_grid.hpp).
+/// the number of ladder rungs at or below its fail voltage (on a finite
+/// ladder NaN and +inf land in grid.size(), -inf in 0). O(1) per block: a
+/// guess from the mean rung spacing, corrected against the real rungs, so
+/// any sorted ladder gets the exact upper_bound bucket. `grid` holds at
+/// most kMaxPopulationLevels rungs (std::invalid_argument otherwise);
+/// `rung_counts` must have grid.size() + 2 entries, and suffix-summing
+/// indices n..1 turns the buckets into per-level faulty counts. Additive,
+/// so the grid engine can extend a smaller cache's counts with just the new
+/// blocks of the next size up (the draw prefix property, see
+/// population_grid.hpp).
 void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
                       std::span<u64> rung_counts);
 

@@ -406,20 +406,56 @@ float chip_fail_voltage(const CellFaultField& field, const CacheOrg& org) {
       org.assoc);
 }
 
-float chip_fail_voltage(std::span<const float> vf, u32 assoc) {
-  // float(block_fail_voltage(b)) in the pre-span loop was a float->double->
-  // float round trip of the stored float, so folding the raw floats here is
-  // the identical computation.
-  const u64 num_sets = vf.size() / assoc;
-  float worst_set = 0.0f;
-  for (u64 s = 0; s < num_sets; ++s) {
+namespace {
+
+/// Sets chip_fail_voltage folds side by side.
+constexpr u64 kFoldLanes = 8;
+
+/// chip_fail_voltage's fold with the ways per set fixed at compile time
+/// (Ways = 0: `assoc` ways, read at run time).
+template <u32 Ways>
+float fold_fail_voltage(const float* vf, u64 num_sets, u32 assoc) {
+  const u32 ways = Ways != 0 ? Ways : assoc;
+  const auto set_min = [ways](const float* set) {
     float best_way = 2.0f;  // above any physical failure voltage
-    for (u32 w = 0; w < assoc; ++w) {
-      best_way = std::min(best_way, vf[s * assoc + w]);
+    for (u32 w = 0; w < ways; ++w) best_way = std::min(best_way, set[w]);
+    return best_way;
+  };
+  // Lane j folds sets j, j + kFoldLanes, ..., so the lanes' min chains and
+  // running maxima are independent and the fold is throughput-bound.
+  float lane_worst[kFoldLanes] = {};
+  u64 s = 0;
+  for (; s + kFoldLanes <= num_sets; s += kFoldLanes) {
+    for (u64 j = 0; j < kFoldLanes; ++j) {
+      lane_worst[j] = std::max(lane_worst[j], set_min(vf + (s + j) * ways));
     }
-    worst_set = std::max(worst_set, best_way);
   }
+  for (; s < num_sets; ++s) {
+    lane_worst[0] = std::max(lane_worst[0], set_min(vf + s * ways));
+  }
+  float worst_set = 0.0f;
+  for (const float w : lane_worst) worst_set = std::max(worst_set, w);
   return worst_set;
+}
+
+}  // namespace
+
+float chip_fail_voltage(std::span<const float> vf, u32 assoc) {
+  // Bit-identical to the flat fold max_s(min_w vf[s][w]) in set order: a
+  // set's min starts at 2.0f and std::min drops NaN ways, so no set value
+  // is NaN; every maximum starts at +0.0f, so a result <= 0 is +0.0f
+  // whatever the order, and a positive result is one float value, whose
+  // bits are unique. Splitting the max across lanes therefore cannot
+  // change a bit. (Folding the stored floats equals the pre-span loop's
+  // float(block_fail_voltage(b)), a float->double->float round trip.)
+  const u64 num_sets = vf.size() / assoc;
+  switch (assoc) {
+    case 2: return fold_fail_voltage<2>(vf.data(), num_sets, assoc);
+    case 4: return fold_fail_voltage<4>(vf.data(), num_sets, assoc);
+    case 8: return fold_fail_voltage<8>(vf.data(), num_sets, assoc);
+    case 16: return fold_fail_voltage<16>(vf.data(), num_sets, assoc);
+    default: return fold_fail_voltage<0>(vf.data(), num_sets, assoc);
+  }
 }
 
 std::vector<float> chip_fail_voltages_mc(u64 trials, u64 seed,

@@ -136,8 +136,9 @@ class SweepRunner {
 
 /// Fail voltage of one manufactured die: the max over sets of the min over
 /// ways of the block fail voltages -- one scalar encodes the die's
-/// pass/fail at every probe voltage. Loop shape kept identical to the
-/// original bench/fig3_yield kernel so results stay bit-identical.
+/// pass/fail at every probe voltage. Bit-identical to the original
+/// bench/fig3_yield loop (a per-set std::min from 2.0f, then a std::max
+/// from +0.0f in set order) although it folds several sets side by side.
 float chip_fail_voltage(const CellFaultField& field, const CacheOrg& org);
 
 /// Span form over a raw per-block fail-voltage array (vf.size() must be a

@@ -326,5 +326,40 @@ TEST(JobService, RejectionsAndFailuresAreReportedInSubmissionOrder) {
             std::string::npos);
 }
 
+TEST(JobService, UnboundedLaddersFailNamingTheField) {
+  // The first two once appended ladder levels until std::bad_alloc. Now
+  // each job fails at once with a message naming the field, and the
+  // service carries on.
+  std::ostringstream jobs;
+  jobs << R"({"kind": "population", "id": "huge-hi", "chips": 10,)"
+       << R"( "grid_hi": 1e308, "out": ")" << tmp_path("pcs_js_l1.txt")
+       << "\"}\n"
+       << R"({"kind": "population", "id": "tiny-step", "chips": 10,)"
+       << R"( "grid_step": 1e-300, "out": ")" << tmp_path("pcs_js_l2.txt")
+       << "\"}\n"
+       << R"({"kind": "population_grid", "id": "inf-lo", "chips": 10,)"
+       << R"( "grid_lo": 1e999, "out": ")" << tmp_path("pcs_js_l3.txt")
+       << "\"}\n";
+  std::istringstream in(jobs.str());
+  std::ostringstream log;
+  const std::vector<JobOutcome> outcomes = JobService(1).serve(in, log);
+
+  ASSERT_EQ(outcomes.size(), 3u);
+  for (const JobOutcome& oc : outcomes) EXPECT_FALSE(oc.ok) << oc.id;
+  EXPECT_NE(outcomes[0].error.find(
+                "population grid_lo..grid_hi at grid_step has more than "
+                "1024 levels"),
+            std::string::npos)
+      << outcomes[0].error;
+  EXPECT_NE(outcomes[1].error.find("grid_step has more than 1024 levels"),
+            std::string::npos)
+      << outcomes[1].error;
+  EXPECT_NE(outcomes[2].error.find("population grid_lo must be finite"),
+            std::string::npos)
+      << outcomes[2].error;
+  EXPECT_NE(log.str().find("served 3 jobs: 0 ok, 3 failed"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace pcs

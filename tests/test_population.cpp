@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -53,6 +54,68 @@ TEST(PopulationSpec, GridRejectsDegenerateLadders) {
   spec.grid_step = 0.01;
   spec.grid_lo = 1.10;  // above grid_hi: empty ladder
   EXPECT_THROW(spec.grid(), std::invalid_argument);
+
+  // Ladders that would once have grown until std::bad_alloc (or, for a
+  // step too small to move the sum, forever) are rejected by name, as are
+  // non-finite fields.
+  const auto expect_rejected = [](const PopulationSpec& s,
+                                  const std::string& field) {
+    try {
+      (void)s.grid();
+      ADD_FAILURE() << "ladder accepted; expected a rejection naming "
+                    << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const PopulationSpec ok;
+  PopulationSpec s = ok;
+  s.grid_hi = 1e308;
+  expect_rejected(s, "more than 1024 levels");
+  s = ok;
+  s.grid_step = 1e-300;
+  expect_rejected(s, "grid_step");
+  s = ok;
+  s.grid_step = 1e-5;  // 55k levels: a 55k x 55k bin_floor_hist
+  expect_rejected(s, "more than 1024 levels");
+  s = ok;
+  s.grid_lo = -1e308;  // adding the step never moves a sum this large
+  s.grid_hi = -1e308;
+  s.grid_step = 1.0;
+  expect_rejected(s, "more than 1024 levels");
+  for (const double bad : {kInf, -kInf, kNaN}) {
+    s = ok;
+    s.grid_lo = bad;
+    expect_rejected(s, "grid_lo must be finite");
+    s = ok;
+    s.grid_hi = bad;
+    expect_rejected(s, "grid_hi must be finite");
+    s = ok;
+    s.grid_step = bad;
+    expect_rejected(s, "grid_step must be finite");
+  }
+
+  // The cap itself: 1024 levels pass, 1025 do not.
+  s = ok;
+  s.grid_lo = 0.0;
+  s.grid_step = 1.0;
+  s.grid_hi = static_cast<double>(kMaxPopulationLevels - 1);
+  EXPECT_EQ(s.grid().size(), kMaxPopulationLevels);
+  s.grid_hi += 1.0;
+  expect_rejected(s, "more than 1024 levels");
+
+  // Valid ladders are untouched: the default one is 0.45 + k * 0.01 summed
+  // step by step, exactly as before the cap.
+  const std::vector<Volt> g = ok.grid();
+  ASSERT_EQ(g.size(), 56u);
+  Volt v = ok.grid_lo;
+  for (const Volt level : g) {
+    EXPECT_EQ(level, v);
+    v += ok.grid_step;
+  }
 }
 
 // ---------------------------------------------------------------------------
