@@ -398,20 +398,26 @@ BENCHMARK(BM_Fig4SweepLanes);
 // ---- Population engine inner loop -----------------------------------------
 
 /// The per-die kernel of the population engine, exactly as PopulationEngine
-/// runs it: one fused sample_fast draw, one chip_fail_voltage scalar for
-/// the viability floor, one histogram pass over the block fail voltages for
-/// every level's capacity. Items = dies, so items/s is the fleet rate/core.
+/// runs it: one block of uniform draws, every block bucketed straight from
+/// its draw (RungCuts, built once outside the loop as the engine builds it
+/// once per run), the viability floor folded over the buckets, and one
+/// histogram of the buckets for every level's capacity. Items = dies, so
+/// items/s is the fleet rate/core.
 void BM_PopulationBinChip(benchmark::State& state) {
   const BerModel ber(Technology::soi45());
   const PopulationSpec spec;  // 64 KB 4-way, 56-level default ladder
   const std::vector<Volt> grid = spec.grid();
+  const RungCuts cuts(grid, ber.mu(), ber.sigma(), spec.org.bits_per_block());
+  std::vector<u64> draws(spec.org.num_blocks());
+  std::vector<u16> buckets(draws.size());
+  std::vector<u64> faulty_at(grid.size() + 2);
   u64 die = 0;
   for (auto _ : state) {
     Rng rng(derive_seed(spec.seed, 0, die++));
-    auto field = CellFaultField::sample_fast(
-        ber, spec.org.num_blocks(), spec.org.bits_per_block(), rng);
-    benchmark::DoNotOptimize(
-        bin_chip(field, spec.org, grid, spec.spcs_min_capacity));
+    rng.uniform_bits_block(draws);
+    benchmark::DoNotOptimize(bin_chip(draws, cuts, spec.org.assoc,
+                                      spec.spcs_min_capacity, buckets,
+                                      faulty_at));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -476,8 +482,9 @@ std::vector<float> fleet_fail_voltages() {
 
 }  // namespace binning_bench
 
-/// The histogram half of bin_chip alone: one 1024-block die bucketed on
-/// the default 56-level ladder. Items = dies.
+/// The float-path histogram alone (count_fail_rungs, which the engines no
+/// longer run): one 1024-block die bucketed on the default 56-level
+/// ladder. Items = dies.
 void BM_CountFailRungs(benchmark::State& state) {
   const std::vector<float> fleet = binning_bench::fleet_fail_voltages();
   const std::size_t blocks = fleet.size() / binning_bench::kDies;
@@ -518,6 +525,56 @@ void BM_ChipFailVoltage(benchmark::State& state) {
 }
 BENCHMARK(BM_ChipFailVoltage);
 
+/// The engines' bucketing step alone: one 1024-block die of uniform draws
+/// bucketed on the default 56-level ladder (RungCuts::bucket_draws), the
+/// draws rotating through 16 dies like the benches above. Items = dies.
+void BM_BucketDraws(benchmark::State& state) {
+  const BerModel ber(Technology::soi45());
+  const PopulationSpec spec;
+  const RungCuts cuts(spec.grid(), ber.mu(), ber.sigma(),
+                      spec.org.bits_per_block());
+  const std::size_t blocks = spec.org.num_blocks();
+  std::vector<u64> fleet(blocks * binning_bench::kDies);
+  for (u64 die = 0; die < binning_bench::kDies; ++die) {
+    Rng rng(derive_seed(spec.seed, 0, die));
+    rng.uniform_bits_block(std::span<u64>(fleet).subspan(die * blocks,
+                                                         blocks));
+  }
+  std::vector<u16> buckets(blocks);
+  std::size_t die = 0;
+  for (auto _ : state) {
+    cuts.bucket_draws(std::span<const u64>(fleet).subspan(die * blocks,
+                                                          blocks),
+                      buckets);
+    benchmark::DoNotOptimize(buckets.data());
+    benchmark::ClobberMemory();
+    die = (die + 1) % binning_bench::kDies;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BucketDraws);
+
+/// Building one cut table, as each engine run does per sigma: Arg 0 = the
+/// default 56-rung ladder, Arg 1 = a 1001-rung ladder (0.0 .. 1.0 V step
+/// 1 mV), both at the soi45 sigma and 64-byte blocks. Items = tables.
+void BM_RungCutsBuild(benchmark::State& state) {
+  const BerModel ber(Technology::soi45());
+  PopulationSpec spec;
+  if (state.range(0) == 1) {
+    spec.grid_lo = 0.0;
+    spec.grid_step = 0.001;
+  }
+  const std::vector<Volt> grid = spec.grid();
+  for (auto _ : state) {
+    const RungCuts cuts(grid, ber.mu(), ber.sigma(),
+                        spec.org.bits_per_block());
+    benchmark::DoNotOptimize(cuts.cuts().data());
+  }
+  state.SetLabel(std::to_string(grid.size()) + " rungs");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RungCutsBuild)->Arg(0)->Arg(1);
+
 // ---- Sample-once population grid engine ------------------------------------
 
 namespace grid_bench {
@@ -539,10 +596,10 @@ PopulationGridSpec grid_spec() {
 
 }  // namespace grid_bench
 
-/// One die through the whole grid: uniforms and order-statistic deviates
-/// drawn once at the largest size, fail voltages re-materialized per sigma,
-/// smaller sizes binned from the shared prefix, associativities folded from
-/// the shared fail voltages.
+/// One die through the whole grid: uniforms drawn once at the largest
+/// size, bucketed once per sigma, smaller sizes binned from the shared
+/// prefix, associativities folded from the shared buckets. Each run also
+/// builds the three sigmas' cut tables, so every 8 dies pay three builds.
 void BM_PopulationGridDie(benchmark::State& state) {
   const BerModel ber(Technology::soi45());
   const auto spec = grid_bench::grid_spec();

@@ -9,7 +9,8 @@
 //                                 [--resume] [--checkpoint-stop-after N]
 //
 // The optional sigma overrides the fail-voltage spread (0 = the soi45
-// calibration). --checkpoint enables the shard-range sidecar; --resume skips
+// calibration); a malformed, non-finite or negative sigma exits 2 with a
+// message. --checkpoint enables the shard-range sidecar; --resume skips
 // the completed shard prefix of an earlier run; --checkpoint-stop-after N is
 // the CI/test hook that kills the process (exit 3) after the Nth sidecar
 // write, leaving a genuinely torn run behind for a resume to finish.
@@ -61,7 +62,16 @@ int main(int argc, char** argv) {
         case 5:
           job.spec.chips_per_shard = std::strtoull(arg, nullptr, 10);
           break;
-        case 6: job.sigma = std::strtod(arg, nullptr); break;
+        case 6: {
+          char* end = nullptr;
+          job.sigma = std::strtod(arg, &end);
+          if (end == arg || *end != '\0') {
+            std::fprintf(stderr, "chip_binning: malformed sigma '%s'\n",
+                         arg);
+            return 2;
+          }
+          break;
+        }
         default:
           std::fprintf(stderr, "chip_binning: unexpected argument '%s'\n",
                        arg);

@@ -297,6 +297,10 @@ std::vector<double> parse_real_list(const std::string& s, const char* key) {
       bad_job(std::string("job key '") + key + "': malformed number '" +
               item + "'");
     }
+    if (!std::isfinite(v)) {
+      bad_job(std::string("job key '") + key + "': non-finite number '" +
+              item + "'");
+    }
     out.push_back(v);
   }
   return out;
@@ -347,9 +351,9 @@ Job parse_job_line(const std::string& line) {
     p.spec.spcs_min_capacity =
         jreal(o, "min_capacity", p.spec.spcs_min_capacity);
     p.sigma = jreal(o, "sigma", p.sigma);
-    if (p.sigma < 0.0) {
-      bad_job("job key 'sigma': must be positive (or 0 for the soi45 "
-              "default)");
+    if (!std::isfinite(p.sigma) || p.sigma < 0.0) {
+      bad_job("job key 'sigma': must be finite and positive (or 0 for the "
+              "soi45 default)");
     }
     p.out = jstr(o, "out", "");
     p.trace_path = jstr(o, "trace", "");

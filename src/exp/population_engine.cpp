@@ -12,11 +12,14 @@
 #include <string>
 #include <utility>
 
+#include "exp/set_fold.hpp"
 #include "exp/sweep_engine.hpp"
 #include "exp/thread_pool.hpp"
 #include "tech/leakage_model.hpp"
+#include "util/mathx.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/vecmath.hpp"
 
 namespace pcs {
 
@@ -60,26 +63,228 @@ std::vector<Volt> PopulationSpec::grid() const {
   return g;
 }
 
-ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
-                      std::span<const Volt> grid, double min_capacity) {
-  // One scalar encodes the die's viability at every ladder voltage: level l
-  // is viable iff grid[l-1] > vf_chip (max over sets of min over ways).
-  const float vf_chip = chip_fail_voltage(field, org);
-  if (std::upper_bound(grid.begin(), grid.end(),
-                       static_cast<Volt>(vf_chip)) == grid.end()) {
-    return {};  // unusable: faulty even at the top level; skip the histogram
+namespace {
+
+/// The least double d with double(float(d)) >= v: every chain value below
+/// it rounds to a float under a rung at v. Only seeds the cut search.
+double float_rounding_edge(double v) {
+  constexpr double kFloatMax = std::numeric_limits<float>::max();
+  if (!(v >= -kFloatMax && v <= kFloatMax)) return v;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  float f = static_cast<float>(v);
+  if (static_cast<double>(f) < v) f = std::nextafter(f, kInf);
+  const float below = std::nextafter(f, -kInf);
+  return 0.5 * (static_cast<double>(below) + static_cast<double>(f));
+}
+
+/// 2^53 * Phi(z)^bits, clamped to [0, 2^53]: the draw index at which the
+/// maximum of `bits` standard normals sampled by the chain reaches z. The
+/// closed-form inverse of the chain, up to its rounding.
+i64 draw_index_of(double z, double bits) {
+  const double scale = static_cast<double>(RungCuts::kDraws);
+  const double log_phi =
+      z < 0.0 ? std::log(q_function(-z)) : std::log1p(-q_function(z));
+  const double x = bits * log_phi;
+  // Near the top of the range, 2^53 + 2^53 * expm1(x) keeps the draws that
+  // 2^53 * exp(x) would round away.
+  const double k =
+      x < -0.5 ? scale * std::exp(x) : scale + scale * std::expm1(x);
+  if (!(k > 0.0)) return 0;
+  if (k >= scale) return static_cast<i64>(RungCuts::kDraws);
+  return static_cast<i64>(k);
+}
+
+constexpr u16 kMixed = 0x8000;  // lut_ flag: resolve the bin draw by draw
+constexpr u32 kLutShift = 53 - RungCuts::kLutBits;
+constexpr i64 kSentinel = i64{1} << 62;
+
+/// Each rung's cut: the first draw index whose chain value reaches the
+/// rung, kDraws if none does. Bisects with the invariant "lo misses the
+/// rung, hi reaches it" and the virtual ends -1 (misses) and kDraws
+/// (reaches), every step evaluating the chain at all open rungs' midpoints
+/// in one sample_vf_block call. Forced non-decreasing in k.
+std::vector<i64> bisect_cuts(std::span<const Volt> grid, double mu,
+                             double sigma, double bits) {
+  const std::size_t n = grid.size();
+  const i64 draws = static_cast<i64>(RungCuts::kDraws);
+  std::vector<i64> lo(n), hi(n);
+  std::vector<std::size_t> open;  // rung of each probe
+  std::vector<i64> at;            // draw of each probe
+  std::vector<double> u;
+  std::vector<float> vf;
+  const auto evaluate = [&] {
+    u.resize(at.size());
+    vf.resize(at.size());
+    for (std::size_t j = 0; j < at.size(); ++j) {
+      u[j] = static_cast<double>(at[j]) * 0x1p-53;
+    }
+    vecmath::sample_vf_block(u.data(), u.size(), bits, mu, sigma, vf.data());
+  };
+  const auto reaches = [&](std::size_t j) {
+    return static_cast<double>(vf[j]) >= grid[open[j]];
+  };
+
+  // Seed each bracket at the closed-form inverse of the rung's float
+  // rounding edge, which lands within a few draws of the bisected cut, and
+  // check both ends against the chain; a rung whose check fails searches
+  // the full range instead.
+  constexpr i64 kBracket = i64{1} << 12;
+  for (std::size_t k = 0; k < n; ++k) {
+    const i64 k0 =
+        draw_index_of((float_rounding_edge(grid[k]) - mu) / sigma, bits);
+    lo[k] = std::max<i64>(k0 - kBracket, -1);
+    hi[k] = std::min<i64>(k0 + kBracket, draws);
+    if (lo[k] >= 0) {
+      open.push_back(k);
+      at.push_back(lo[k]);
+    }
+    if (hi[k] < draws) {
+      open.push_back(k);
+      at.push_back(hi[k]);
+    }
+  }
+  evaluate();
+  std::vector<std::size_t> unbracketed;
+  for (std::size_t j = 0; j < open.size(); ++j) {
+    if (reaches(j) != (at[j] == hi[open[j]])) unbracketed.push_back(open[j]);
+  }
+  for (const std::size_t k : unbracketed) {
+    lo[k] = -1;
+    hi[k] = draws;
   }
 
-  // Per-level faulty counts in one O(blocks) pass. (The field's sweep index
-  // would answer the same queries, but its std::sort over a fresh random
-  // permutation per die costs many times this pass; counts are integers
-  // either way, so the results are bit-identical.)
-  const u32 n = static_cast<u32>(grid.size());
-  std::vector<u64> faulty_at(n + 2, 0);
-  count_fail_rungs(field.fail_voltages(), grid, faulty_at);
+  for (;;) {
+    open.clear();
+    at.clear();
+    for (std::size_t k = 0; k < n; ++k) {
+      if (hi[k] - lo[k] > 1) {
+        open.push_back(k);
+        at.push_back(lo[k] + (hi[k] - lo[k]) / 2);
+      }
+    }
+    if (open.empty()) break;
+    evaluate();
+    for (std::size_t j = 0; j < open.size(); ++j) {
+      (reaches(j) ? hi[open[j]] : lo[open[j]]) = at[j];
+    }
+  }
+  for (std::size_t k = 1; k < n; ++k) hi[k] = std::max(hi[k], hi[k - 1]);
+  return hi;
+}
+
+}  // namespace
+
+RungCuts::RungCuts(std::span<const Volt> grid, double mu, double sigma,
+                   u32 bits_per_block)
+    : grid_(grid.begin(), grid.end()),
+      mu_(mu),
+      sigma_(sigma),
+      bits_(static_cast<double>(bits_per_block)) {
+  if (!std::isfinite(mu)) {
+    throw std::invalid_argument("population mu must be finite");
+  }
+  if (!std::isfinite(sigma) || !(sigma > 0.0)) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", sigma);
+    throw std::invalid_argument(
+        std::string("population sigma must be finite and positive, got ") +
+        got);
+  }
+  if (grid.size() > kMaxPopulationLevels) {
+    throw std::invalid_argument(
+        "RungCuts: ladder longer than kMaxPopulationLevels");
+  }
+  const std::vector<i64> found = bisect_cuts(grid_, mu_, sigma_, bits_);
+  padded_cuts_.reserve(found.size() + 2);
+  padded_cuts_.push_back(-kSentinel);
+  padded_cuts_.insert(padded_cuts_.end(), found.begin(), found.end());
+  padded_cuts_.push_back(kSentinel);
+  const std::span<const i64> cut = cuts();
+
+  // Lookup: a bin's first draw's bucket, flagged when any cut's guard band
+  // (clipped to the draw range) reaches into the bin.
+  lut_.assign(std::size_t{1} << kLutBits, 0);
+  std::size_t below = 0;
+  for (std::size_t b = 0; b < lut_.size(); ++b) {
+    const i64 first = static_cast<i64>(b) << kLutShift;
+    while (below < cut.size() && cut[below] <= first) ++below;
+    lut_[b] = static_cast<u16>(below);
+  }
+  const i64 guard = static_cast<i64>(kGuardDraws);
+  const i64 last_draw = static_cast<i64>(kDraws) - 1;
+  for (const i64 c : cut) {
+    const i64 first = std::max<i64>(c - guard, 0) >> kLutShift;
+    const i64 last = std::min<i64>(c + guard - 1, last_draw) >> kLutShift;
+    for (i64 b = first; b <= last; ++b) {
+      lut_[static_cast<std::size_t>(b)] |= kMixed;
+    }
+  }
+
+  set_seed_ = bucket_of(2.0f);
+  max_seed_ = bucket_of(0.0f);
+}
+
+u16 RungCuts::bucket_of(float vf) const {
+  return static_cast<u16>(std::upper_bound(grid_.begin(), grid_.end(),
+                                           static_cast<double>(vf)) -
+                          grid_.begin());
+}
+
+u16 RungCuts::exact_bucket(u64 draw, u16 start) const {
+  const i64 k = static_cast<i64>(draw);
+  const i64* cut = padded_cuts_.data() + 1;
+  std::ptrdiff_t b = start;
+  while (cut[b] <= k) ++b;
+  // Passing this test needs cut[b-1] <= k - guard and cut[b] > k + guard,
+  // which makes b the number of cuts <= k whatever the walk did; a draw
+  // failing it is inside a guard band (or was walked wrong).
+  const i64 guard = static_cast<i64>(kGuardDraws);
+  if (k - cut[b - 1] >= guard && cut[b] - k > guard) {
+    return static_cast<u16>(b);
+  }
+  // Inside a guard band: run the chain on this one draw.
+  const double u = static_cast<double>(draw) * 0x1p-53;
+  float vf = 0.0f;
+  vecmath::sample_vf_block(&u, 1, bits_, mu_, sigma_, &vf);
+  return bucket_of(vf);
+}
+
+void RungCuts::bucket_draws(std::span<const u64> draws,
+                            std::span<u16> out) const {
+  const u16* lut = lut_.data();
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    const u16 e = lut[draws[i] >> kLutShift];
+    out[i] = (e & kMixed) == 0
+                 ? e
+                 : exact_bucket(draws[i], static_cast<u16>(e & ~kMixed));
+  }
+}
+
+u32 RungCuts::floor_bucket(std::span<const u16> buckets, u32 assoc) const {
+  // The bucket is non-decreasing in the fail voltage, so it commutes with
+  // min and max: folding the buckets from the buckets of chip_fail_voltage's
+  // seeds gives the bucket of its result.
+  return fold_sets<u16>(buckets, assoc, set_seed_, max_seed_);
+}
+
+ChipBinPoint bin_chip(std::span<const u64> draws, const RungCuts& cuts,
+                      u32 assoc, double min_capacity, std::span<u16> buckets,
+                      std::span<u64> faulty_at) {
+  const std::span<u16> b = buckets.first(draws.size());
+  cuts.bucket_draws(draws, b);
+  const u32 n = cuts.num_levels();
+  const u32 floor = cuts.floor_bucket(b, assoc);
+  if (floor >= n) return {};  // unusable: skip the histogram
+
+  std::fill(faulty_at.begin(), faulty_at.end(), u64{0});
+  count_buckets(b, faulty_at);
   for (u32 l = n; l >= 1; --l) faulty_at[l] += faulty_at[l + 1];
-  return bin_from_fail_summary(vf_chip, faulty_at, field.num_blocks(), grid,
+  return bin_from_floor_bucket(floor, faulty_at, draws.size(), n,
                                min_capacity);
+}
+
+void count_buckets(std::span<const u16> buckets, std::span<u64> rung_counts) {
+  for (const u16 b : buckets) ++rung_counts[b];
 }
 
 void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
@@ -140,17 +345,14 @@ void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
   }
 }
 
-ChipBinPoint bin_from_fail_summary(float vf_chip,
+ChipBinPoint bin_from_floor_bucket(u32 floor_bucket,
                                    std::span<const u64> faulty_at,
-                                   u64 num_blocks, std::span<const Volt> grid,
+                                   u64 num_blocks, u32 num_levels,
                                    double min_capacity) {
   ChipBinPoint p;
-  const auto it = std::upper_bound(grid.begin(), grid.end(),
-                                   static_cast<Volt>(vf_chip));
-  if (it == grid.end()) return p;
-  p.floor_level = static_cast<u32>(it - grid.begin()) + 1;
+  if (floor_bucket >= num_levels) return p;
+  p.floor_level = floor_bucket + 1;
 
-  const u32 n = static_cast<u32>(grid.size());
   const double blocks = static_cast<double>(num_blocks);
   const auto capacity_at = [&](u32 level) {
     if (num_blocks == 0) return 1.0;
@@ -164,13 +366,24 @@ ChipBinPoint bin_from_fail_summary(float vf_chip,
 
   // Effective capacity is non-decreasing in VDD (fault inclusion), so the
   // first level at/above the floor that meets the target is the SPCS bin.
-  for (u32 l = p.floor_level; l <= n; ++l) {
+  for (u32 l = p.floor_level; l <= num_levels; ++l) {
     if (capacity_at(l) >= min_capacity) {
       p.spcs_level = l;
       break;
     }
   }
   return p;
+}
+
+ChipBinPoint bin_from_fail_summary(float vf_chip,
+                                   std::span<const u64> faulty_at,
+                                   u64 num_blocks, std::span<const Volt> grid,
+                                   double min_capacity) {
+  const auto it = std::upper_bound(grid.begin(), grid.end(),
+                                   static_cast<Volt>(vf_chip));
+  return bin_from_floor_bucket(static_cast<u32>(it - grid.begin()),
+                               faulty_at, num_blocks,
+                               static_cast<u32>(grid.size()), min_capacity);
 }
 
 PopulationResult make_empty_population_result(std::vector<Volt> grid) {
@@ -441,6 +654,9 @@ PopulationResult PopulationEngine::run(const PopulationSpec& spec,
                                        const CheckpointOptions* ckpt) const {
   spec.org.validate();
   const std::vector<Volt> grid = spec.grid();
+  // Validates mu and sigma too. Built once per run; the shards only read it.
+  const RungCuts cuts(grid, ber_->mu(), ber_->sigma(),
+                      spec.org.bits_per_block());
   const u64 per_shard = std::max<u64>(1, spec.chips_per_shard);
   const u64 num_shards =
       spec.num_chips == 0 ? 0 : (spec.num_chips + per_shard - 1) / per_shard;
@@ -477,14 +693,18 @@ PopulationResult PopulationEngine::run(const PopulationSpec& spec,
   // thread count can change which dies get manufactured.
   const auto shard_task = [&](u64 s) {
     PopulationResult part = make_empty_population_result(grid);
+    const auto blocks = static_cast<std::size_t>(spec.org.num_blocks());
+    std::vector<u64> draws(blocks);
+    std::vector<u16> buckets(blocks);
+    std::vector<u64> faulty_at(grid.size() + 2);
     const u64 first = s * per_shard;
     const u64 end = std::min(spec.num_chips, first + per_shard);
     for (u64 c = first; c < end; ++c) {
       Rng rng(derive_seed(spec.seed, 0, c));
-      CellFaultField field = CellFaultField::sample_fast(
-          *ber_, spec.org.num_blocks(), spec.org.bits_per_block(), rng);
-      accumulate_chip(part,
-                      bin_chip(field, spec.org, grid, spec.spcs_min_capacity));
+      rng.uniform_bits_block(draws);
+      accumulate_chip(part, bin_chip(draws, cuts, spec.org.assoc,
+                                     spec.spcs_min_capacity, buckets,
+                                     faulty_at));
     }
     return part;
   };

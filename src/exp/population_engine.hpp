@@ -23,11 +23,14 @@
 //   * Derived statistics (means, quantiles, yield curves) are computed from
 //     the histograms by fixed-order folds, inheriting the same determinism.
 //
-// The per-chip inner loop is the PR 6 fused Monte-Carlo kernel: one
-// CellFaultField::sample_fast draw per die, chip_fail_voltage() for the
-// viability floor (one scalar encodes pass/fail at every voltage), and one
-// O(1)-per-block histogram pass over the block fail voltages for every
-// level's capacity behind the SPCS level search.
+// The per-chip kernel does not run the order-statistic chain per block: a
+// block's ladder bucket is a step function of its 53-bit uniform draw, so
+// RungCuts finds each rung's step once per run and bin_chip buckets every
+// block straight from its draw (running the chain only for the rare draw
+// next to a step), then takes the viability floor (the max over sets of
+// the min over ways) and every level's capacity from the buckets alone.
+// The result equals the chain composition bit for bit (DESIGN.md §13;
+// tests/test_draw_binning.cpp).
 #pragma once
 
 #include <functional>
@@ -42,7 +45,6 @@
 #include "cachemodel/cache_org.hpp"
 #include "exp/thread_pool.hpp"
 #include "fault/ber_model.hpp"
-#include "fault/cell_fault_field.hpp"
 #include "telemetry/trace_sink.hpp"
 #include "util/types.hpp"
 
@@ -90,15 +92,98 @@ struct ChipBinPoint {
   u32 capacity_bin = 0;  ///< effective capacity at floor_level, binned
 };
 
-/// Bins one manufactured die against a VDD ladder: viability floor via the
-/// fused fail-voltage kernel, then every level's effective capacity from a
-/// single O(1)-per-block histogram pass over the per-block fail voltages
-/// (no sort, no dense FaultMap). Exposed for tests and the
-/// micro-benchmarks.
-ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
-                      std::span<const Volt> grid, double min_capacity);
+/// Where each rung of a VDD ladder cuts the uniform draws, for one
+/// (ladder, mu, sigma, bits per block): buckets a block on the ladder
+/// straight from its draw, without running the order-statistic chain.
+///
+/// Rng::uniform gives u = K * 2^-53 for a 53-bit draw index K, and the
+/// chain vf(K) = float(mu + sigma * inv_q(-expm1(log(u) / bits))) rises
+/// with K. A block's bucket upper_bound(ladder, vf(K)) -- the number of
+/// rungs at or below its fail voltage -- therefore steps up once per rung,
+/// at that rung's cut: the first K whose vf reaches the rung. The
+/// constructor finds every cut by bisecting the exact chain; a block's
+/// bucket is then the number of cuts <= K, read from a lookup on K's top
+/// kLutBits bits. Rounding makes the chain non-monotone within a few draws
+/// of a cut, so a draw within kGuardDraws of any cut is bucketed by the
+/// exact chain instead. DESIGN.md §13 has the exactness argument.
+///
+/// Read-only after construction, so one table serves every shard thread.
+class RungCuts {
+ public:
+  /// Draw indices run over [0, kDraws).
+  static constexpr u64 kDraws = u64{1} << 53;
+  /// Width of the bucket lookup's index: K's top bits.
+  static constexpr u32 kLutBits = 12;
+  /// Draws within this distance of a cut take the exact chain: the guard
+  /// band of cut c is [c - kGuardDraws, c + kGuardDraws).
+  static constexpr u64 kGuardDraws = u64{1} << 30;
 
-/// The histogram half of bin_chip: adds each block's ladder bucket to
+  /// Throws std::invalid_argument unless mu is finite and sigma is finite
+  /// and > 0 (the cuts need vf to rise with the draw) and `grid` is a
+  /// sorted ladder of at most kMaxPopulationLevels rungs.
+  RungCuts(std::span<const Volt> grid, double mu, double sigma,
+           u32 bits_per_block);
+
+  u32 num_levels() const noexcept { return static_cast<u32>(grid_.size()); }
+
+  /// cuts()[k]: the first draw index whose block the chain puts at or above
+  /// rung k (0-based), or kDraws if none. Non-decreasing in k.
+  std::span<const i64> cuts() const noexcept {
+    return {padded_cuts_.data() + 1, grid_.size()};
+  }
+
+  /// out[i] = the bucket of a block drawn as draws[i] (each < kDraws): the
+  /// number of rungs at or below its fail voltage, as count_fail_rungs
+  /// would bucket the chain's value. `out` must hold draws.size() entries.
+  void bucket_draws(std::span<const u64> draws, std::span<u16> out) const;
+
+  /// The bucket of chip_fail_voltage over the blocks behind `buckets` --
+  /// upper_bound(grid, chip_fail_voltage(vf, assoc)) -- from the buckets
+  /// alone: chip_fail_voltage's fold (fold_sets) with each set's min
+  /// starting at the bucket of 2.0f and the max at the bucket of +0.0f.
+  u32 floor_bucket(std::span<const u16> buckets, u32 assoc) const;
+
+ private:
+  /// upper_bound(grid, vf): the bucket the chain composition gives.
+  u16 bucket_of(float vf) const;
+  /// The bucket of a draw in a flagged lookup bin, whose first draw's
+  /// bucket is `start`: walks the cuts, then runs the chain if the draw is
+  /// inside a guard band.
+  u16 exact_bucket(u64 draw, u16 start) const;
+
+  std::vector<Volt> grid_;
+  double mu_;
+  double sigma_;
+  double bits_;
+  /// -2^62, the cuts, 2^62: the sentinels end the walk and the guard test.
+  std::vector<i64> padded_cuts_;
+  /// Per top-bits bin: the bucket of its first draw, ORed with kMixed when
+  /// a cut's guard band reaches into the bin.
+  std::vector<u16> lut_;
+  u16 set_seed_ = 0;  ///< bucket of 2.0f
+  u16 max_seed_ = 0;  ///< bucket of +0.0f
+};
+
+/// Bins one manufactured die straight from its blocks' uniform draws
+/// (Rng::uniform_bits_block, block order): buckets every block with
+/// `cuts`, takes the viability floor with RungCuts::floor_bucket, and --
+/// unless the die is unusable -- every level's effective capacity from a
+/// histogram of the buckets. `buckets` (>= draws.size() entries) and
+/// `faulty_at` (cuts.num_levels() + 2 entries) are scratch the caller
+/// reuses across dies. PopulationEngine's per-die kernel, exposed for
+/// tests and the micro-benchmarks; equal to the chain composition
+/// sample_vf_block -> chip_fail_voltage -> count_fail_rungs ->
+/// bin_from_fail_summary.
+ChipBinPoint bin_chip(std::span<const u64> draws, const RungCuts& cuts,
+                      u32 assoc, double min_capacity, std::span<u16> buckets,
+                      std::span<u64> faulty_at);
+
+/// Adds each bucket to `rung_counts` (num_levels + 2 entries); suffix
+/// sums over indices n..1 then give every level's faulty count, exactly as
+/// after count_fail_rungs. Additive over block ranges.
+void count_buckets(std::span<const u16> buckets, std::span<u64> rung_counts);
+
+/// The float-path histogram: adds each block's ladder bucket to
 /// `rung_counts`, where block b lands in index upper_bound(grid, vf[b]) --
 /// the number of ladder rungs at or below its fail voltage (on a finite
 /// ladder NaN and +inf land in grid.size(), -inf in 0). O(1) per block: a
@@ -106,20 +191,26 @@ ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
 /// any sorted ladder gets the exact upper_bound bucket. `grid` holds at
 /// most kMaxPopulationLevels rungs (std::invalid_argument otherwise);
 /// `rung_counts` must have grid.size() + 2 entries, and suffix-summing
-/// indices n..1 turns the buckets into per-level faulty counts. Additive,
-/// so the grid engine can extend a smaller cache's counts with just the new
-/// blocks of the next size up (the draw prefix property, see
-/// population_grid.hpp).
+/// indices n..1 turns the buckets into per-level faulty counts. The
+/// engines bucket from draws instead (RungCuts); this kernel serves
+/// callers that hold fail voltages, such as the chain-composition oracle.
 void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
                       std::span<u64> rung_counts);
 
-/// The binning half of bin_chip: places a die given its viability-floor
-/// scalar `vf_chip` and its suffix-summed per-level faulty counts
-/// `faulty_at` (size grid.size() + 2, 1-based levels) for a cache of
-/// `num_blocks` blocks. bin_chip == count_fail_rungs + suffix sum + this;
-/// the grid engine calls it once per (size, assoc, sigma) point over shared
-/// summaries, which is what keeps every grid point bit-identical to its
-/// standalone run.
+/// The binning step: places a die given the bucket of its viability floor
+/// (upper_bound(grid, vf_chip), grid.size() = unusable) and its
+/// suffix-summed per-level faulty counts `faulty_at` (num_levels + 2
+/// entries, 1-based levels) for a cache of `num_blocks` blocks. Both
+/// engines call it with RungCuts::floor_bucket; the grid engine calls it
+/// once per (size, assoc, sigma) point over shared summaries, which is
+/// what keeps every grid point bit-identical to its standalone run.
+ChipBinPoint bin_from_floor_bucket(u32 floor_bucket,
+                                   std::span<const u64> faulty_at,
+                                   u64 num_blocks, u32 num_levels,
+                                   double min_capacity);
+
+/// bin_from_floor_bucket given the viability-floor scalar `vf_chip`
+/// itself (chip_fail_voltage's result) instead of its bucket.
 ChipBinPoint bin_from_fail_summary(float vf_chip,
                                    std::span<const u64> faulty_at,
                                    u64 num_blocks, std::span<const Volt> grid,

@@ -1,16 +1,17 @@
 #include "exp/population_grid.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <numeric>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 
 #include "exp/sweep_engine.hpp"
 #include "exp/thread_pool.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/vecmath.hpp"
 
 namespace pcs {
 
@@ -33,8 +34,9 @@ void PopulationGridSpec::validate() const {
   no_dups(assocs, "assocs");
   no_dups(sigmas, "sigmas");
   for (const Volt s : sigmas) {
-    if (!(s > 0.0)) {
-      throw std::invalid_argument("population grid sigmas must be positive");
+    if (!std::isfinite(s) || !(s > 0.0)) {
+      throw std::invalid_argument(
+          "population grid sigmas must be finite and positive");
     }
   }
   for (const u64 size_kb : sizes_kb) {
@@ -135,8 +137,14 @@ PopulationGridResult PopulationGridEngine::run(
               return blocks_of[a] < blocks_of[b];
             });
   const u64 max_blocks = blocks_of[size_order.back()];
-  const double nbits = static_cast<double>(base.org.bits_per_block());
   const u32 num_levels = static_cast<u32>(grid.size());
+  // One cut table per sigma (validates mu and every sigma), built once per
+  // run; the shards only read them.
+  std::vector<RungCuts> cuts;
+  cuts.reserve(num_sigmas);
+  for (const Volt sigma : sigmas) {
+    cuts.emplace_back(grid, mu, sigma, base.org.bits_per_block());
+  }
 
   const u64 per_shard = std::max<u64>(1, base.chips_per_shard);
   const u64 num_shards =
@@ -178,58 +186,46 @@ PopulationGridResult PopulationGridEngine::run(
     }
   }
 
-  // One shard: manufacture each die once (z chain at the LARGEST size),
-  // derive every grid point from the shared draws. Bit-identity argument:
-  //   vf[b] = float(mu + sigma * z(u_b, nbits)) == sample_fast's value
-  //   (vecmath contract, pinned by tests/test_fault_equivalence), the first
-  //   blocks(size) draws are exactly the smaller cache's draw sequence, and
-  //   the histogram/fold kernels are the standalone engine's own
-  //   (count_fail_rungs / bin_from_fail_summary / chip_fail_voltage).
+  // One shard: draw each die once at the LARGEST size and bucket its blocks
+  // once per sigma; every grid point then comes from the shared buckets.
+  // Bit-identity argument: a block's bucket under cuts[gi] equals
+  //   upper_bound(grid, sample_fast's vf) at (mu, sigmas[gi]) (RungCuts),
+  // the first blocks(size) draws are exactly the smaller cache's draw
+  // sequence, and the histogram/fold/binning steps are the standalone
+  // engine's own (count_buckets / RungCuts::floor_bucket /
+  // bin_from_floor_bucket).
   const auto shard_task = [&](u64 s) {
     std::vector<PopulationResult> parts = empty_parts();
-    constexpr u64 kChunk = 4096;  // sample_fast's draw-block size
-    std::vector<double> u(static_cast<std::size_t>(
-        std::min(max_blocks, kChunk)));
-    std::vector<double> z(static_cast<std::size_t>(max_blocks));
-    std::vector<float> vf(static_cast<std::size_t>(max_blocks));
+    std::vector<u64> draws(static_cast<std::size_t>(max_blocks));
+    std::vector<u16> buckets(static_cast<std::size_t>(max_blocks));
     std::vector<u64> rungs(num_levels + 2, 0);
     std::vector<u64> faulty_at(num_levels + 2, 0);
     const u64 first = s * per_shard;
     const u64 end = std::min(base.num_chips, first + per_shard);
     for (u64 c = first; c < end; ++c) {
       Rng rng(derive_seed(base.seed, 0, c));
-      for (u64 at = 0; at < max_blocks; at += kChunk) {
-        const u64 todo = std::min(kChunk, max_blocks - at);
-        rng.uniform_block(std::span<double>(u.data(), todo));
-        vecmath::sample_z_block(u.data(), todo, nbits,
-                                z.data() + at);
-      }
+      rng.uniform_bits_block(draws);
       for (std::size_t gi = 0; gi < num_sigmas; ++gi) {
-        vecmath::vf_from_z_block(z.data(), static_cast<std::size_t>(max_blocks),
-                                 mu, sigmas[gi], vf.data());
+        cuts[gi].bucket_draws(draws, buckets);
         std::fill(rungs.begin(), rungs.end(), u64{0});
         u64 prev_blocks = 0;
         for (const std::size_t si : size_order) {
           const u64 blocks = blocks_of[si];
-          count_fail_rungs(
-              std::span<const float>(vf.data() + prev_blocks,
-                                     static_cast<std::size_t>(blocks -
-                                                              prev_blocks)),
-              grid, rungs);
+          const auto prefix = std::span<const u16>(buckets).first(
+              static_cast<std::size_t>(blocks));
+          count_buckets(prefix.subspan(static_cast<std::size_t>(prev_blocks)),
+                        rungs);
           prev_blocks = blocks;
           faulty_at[num_levels + 1] = rungs[num_levels + 1];
           for (u32 l = num_levels; l >= 1; --l) {
             faulty_at[l] = rungs[l] + faulty_at[l + 1];
           }
           for (std::size_t ai = 0; ai < num_assocs; ++ai) {
-            const float vf_chip = chip_fail_voltage(
-                std::span<const float>(vf.data(),
-                                       static_cast<std::size_t>(blocks)),
-                spec.assocs[ai]);
             accumulate_chip(
                 parts[point_index(si, ai, gi)],
-                bin_from_fail_summary(vf_chip, faulty_at, blocks, grid,
-                                      base.spcs_min_capacity));
+                bin_from_floor_bucket(
+                    cuts[gi].floor_bucket(prefix, spec.assocs[ai]),
+                    faulty_at, blocks, num_levels, base.spcs_min_capacity));
           }
         }
       }

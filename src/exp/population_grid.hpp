@@ -3,24 +3,22 @@
 // POPULATION.md's grid runs evaluate one manufactured fleet against a full
 // (size_kb x assoc x sigma) design grid. Running PopulationEngine once per
 // grid point re-manufactures the SAME dies G times: chip c's draws depend
-// only on (seed, c), and the expensive part of manufacturing -- the
-// log/expm1/inv-Q order-statistic chain -- does not depend on the grid axes
-// at all. This engine samples each die ONCE per shard pass and derives
-// every grid point from the shared draws:
+// only on (seed, c), never on the grid axes. This engine draws each die
+// ONCE per shard pass and derives every grid point from the shared draws:
 //
-//   * sigma axis: vf = float(mu + sigma * z(u, n)) where z is the
-//     (mu, sigma)-independent order-statistic normal deviate
-//     (vecmath::sample_z_block). The z chain is computed once per die; each
-//     sigma is one cheap affine pass (vecmath::vf_from_z_block),
-//     bit-identical to CellFaultField::sample_fast's composition.
-//   * size axis: Rng::uniform_block draws are exactly consecutive uniform()
-//     calls, so a smaller cache's per-block fail voltages are a bit-exact
-//     PREFIX of a larger cache's for the same (seed, mu, sigma). The die is
-//     sampled at the LARGEST size; smaller sizes reuse the prefix, and the
-//     per-level fault histogram grows incrementally (count_fail_rungs is
-//     additive over block ranges, sizes visited in ascending block order).
-//   * assoc axis: associativity affects only the min/max fold of
-//     chip_fail_voltage (same span-based kernel as the standalone engine),
+//   * sigma axis: sigma moves only where each ladder rung cuts the draws.
+//     The engine builds one RungCuts table per sigma per run (the same
+//     table a standalone run at that sigma builds) and buckets each die's
+//     draws once per sigma; no point runs the order-statistic chain per
+//     block.
+//   * size axis: Rng::uniform_bits_block draws are exactly consecutive
+//     uniform() calls, so a smaller cache's draws are a bit-exact PREFIX
+//     of a larger cache's for the same seed. The die is drawn at the
+//     LARGEST size; smaller sizes reuse the prefix, and the per-level
+//     fault histogram grows incrementally (count_buckets is additive over
+//     block ranges, sizes visited in ascending block order).
+//   * assoc axis: associativity affects only the min/max fold over the
+//     buckets (RungCuts::floor_bucket, as in the standalone engine),
 //     never the draws or the fault histogram.
 //
 // Every per-point PopulationResult is therefore BIT-IDENTICAL to a
@@ -53,8 +51,8 @@ struct PopulationGridSpec {
   std::vector<Volt> sigmas;
 
   /// Throws std::invalid_argument unless every axis is non-empty and
-  /// duplicate-free, sigmas are positive, and every (size, assoc) yields a
-  /// valid CacheOrg.
+  /// duplicate-free, sigmas are finite and positive, and every
+  /// (size, assoc) yields a valid CacheOrg.
   void validate() const;
 
   /// Points on the sigma axis: `sigmas`, or {fallback_sigma} when empty.

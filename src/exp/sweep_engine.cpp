@@ -10,6 +10,7 @@
 // and the speedup ratio compare against -- is untouched.
 #include "cache/cache_level_inl.hpp"
 #include "cache/hierarchy_inl.hpp"
+#include "exp/set_fold.hpp"
 #include "trace/workload_source.hpp"
 #include "util/rng.hpp"
 #include "workload/spec_profiles.hpp"
@@ -406,40 +407,6 @@ float chip_fail_voltage(const CellFaultField& field, const CacheOrg& org) {
       org.assoc);
 }
 
-namespace {
-
-/// Sets chip_fail_voltage folds side by side.
-constexpr u64 kFoldLanes = 8;
-
-/// chip_fail_voltage's fold with the ways per set fixed at compile time
-/// (Ways = 0: `assoc` ways, read at run time).
-template <u32 Ways>
-float fold_fail_voltage(const float* vf, u64 num_sets, u32 assoc) {
-  const u32 ways = Ways != 0 ? Ways : assoc;
-  const auto set_min = [ways](const float* set) {
-    float best_way = 2.0f;  // above any physical failure voltage
-    for (u32 w = 0; w < ways; ++w) best_way = std::min(best_way, set[w]);
-    return best_way;
-  };
-  // Lane j folds sets j, j + kFoldLanes, ..., so the lanes' min chains and
-  // running maxima are independent and the fold is throughput-bound.
-  float lane_worst[kFoldLanes] = {};
-  u64 s = 0;
-  for (; s + kFoldLanes <= num_sets; s += kFoldLanes) {
-    for (u64 j = 0; j < kFoldLanes; ++j) {
-      lane_worst[j] = std::max(lane_worst[j], set_min(vf + (s + j) * ways));
-    }
-  }
-  for (; s < num_sets; ++s) {
-    lane_worst[0] = std::max(lane_worst[0], set_min(vf + s * ways));
-  }
-  float worst_set = 0.0f;
-  for (const float w : lane_worst) worst_set = std::max(worst_set, w);
-  return worst_set;
-}
-
-}  // namespace
-
 float chip_fail_voltage(std::span<const float> vf, u32 assoc) {
   // Bit-identical to the flat fold max_s(min_w vf[s][w]) in set order: a
   // set's min starts at 2.0f and std::min drops NaN ways, so no set value
@@ -448,13 +415,18 @@ float chip_fail_voltage(std::span<const float> vf, u32 assoc) {
   // bits are unique. Splitting the max across lanes therefore cannot
   // change a bit. (Folding the stored floats equals the pre-span loop's
   // float(block_fail_voltage(b)), a float->double->float round trip.)
+  // The ways switch is spelled out here rather than taken from the span
+  // overload of fold_sets: calling that overload changes GCC's inlining
+  // in this file (set_fold.hpp). Each set's min starts at 2.0f, the max
+  // at +0.0f.
   const u64 num_sets = vf.size() / assoc;
+  const float* v = vf.data();
   switch (assoc) {
-    case 2: return fold_fail_voltage<2>(vf.data(), num_sets, assoc);
-    case 4: return fold_fail_voltage<4>(vf.data(), num_sets, assoc);
-    case 8: return fold_fail_voltage<8>(vf.data(), num_sets, assoc);
-    case 16: return fold_fail_voltage<16>(vf.data(), num_sets, assoc);
-    default: return fold_fail_voltage<0>(vf.data(), num_sets, assoc);
+    case 2: return fold_sets<float, 2>(v, num_sets, assoc, 2.0f, 0.0f);
+    case 4: return fold_sets<float, 4>(v, num_sets, assoc, 2.0f, 0.0f);
+    case 8: return fold_sets<float, 8>(v, num_sets, assoc, 2.0f, 0.0f);
+    case 16: return fold_sets<float, 16>(v, num_sets, assoc, 2.0f, 0.0f);
+    default: return fold_sets<float, 0>(v, num_sets, assoc, 2.0f, 0.0f);
   }
 }
 

@@ -51,6 +51,10 @@ void Rng::uniform_block(std::span<double> out) noexcept {
   for (double& v : out) v = uniform();
 }
 
+void Rng::uniform_bits_block(std::span<u64> out) noexcept {
+  for (u64& k : out) k = next_u64() >> 11;
+}
+
 void Rng::gaussian_block(std::span<double> out) noexcept {
   std::size_t i = 0;
   const std::size_t n = out.size();

@@ -81,6 +81,12 @@ class Rng {
   /// only the call overhead is amortized.
   void uniform_block(std::span<double> out) noexcept;
 
+  /// Fills `out` with the 53-bit integers K that `out.size()` consecutive
+  /// uniform() calls would scale to K * 2^-53 -- the same draws in the same
+  /// sequence, before the conversion to double. The population engines
+  /// bucket blocks straight from K (see RungCuts in population_engine.hpp).
+  void uniform_bits_block(std::span<u64> out) noexcept;
+
   /// Fills `out` with exactly the values `out.size()` consecutive gaussian()
   /// calls would produce, including consuming/leaving the cached second
   /// Box-Muller deviate the same way the scalar loop would.  The log() calls

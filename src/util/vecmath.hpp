@@ -53,10 +53,10 @@ void sample_vf_block(const double* u_draws, std::size_t count,
 ///   p = -expm1(log(u) / bits_per_block);
 ///   z_out[i] = inv_q_function(p);
 /// such that composing with vf_from_z_block reproduces sample_vf_block
-/// bit-for-bit. The population grid engine uses this split to pay the
-/// expensive chain once per die and derive every sigma's fail voltages by
-/// the cheap affine pass below (tests/test_fault_equivalence pins the
-/// composition).
+/// bit-for-bit (tests/test_fault_equivalence pins the composition). No
+/// caller in src/ is left: the population engines bucket blocks from their
+/// draws (RungCuts). The split stays for the end-to-end benchmark's traced
+/// population grid, which re-drives the old chain as a cross-check.
 void sample_z_block(const double* u_draws, std::size_t count,
                     double bits_per_block, double* z_out);
 

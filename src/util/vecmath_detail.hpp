@@ -29,8 +29,8 @@ float sample_vf_one(double u, double bits_per_block, double mu, double sigma);
 
 /// The (mu, sigma)-independent core of sample_vf_one: the standard-normal
 /// order-statistic deviate z with  float(mu + sigma * z) == sample_vf_one.
-/// Splitting here is what lets the population grid engine pay the
-/// log/expm1/inv_q chain once per die and reuse it across every sigma.
+/// Backs sample_z_block, the split that pays the log/expm1/inv_q chain
+/// once per block and reuses it across sigmas.
 double sample_z_one(double u, double bits_per_block);
 
 #if defined(PCS_HAVE_VECMATH_AVX2)

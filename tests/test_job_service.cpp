@@ -361,5 +361,40 @@ TEST(JobService, UnboundedLaddersFailNamingTheField) {
             std::string::npos);
 }
 
+TEST(JobService, NonFiniteSigmaIsRejectedNamingTheKey) {
+  // 1e999 parses as infinity; the job once ran and reported ok.
+  std::istringstream in(R"({"kind": "population", "id": "inf-sigma",)"
+                        R"( "chips": 200, "sigma": 1e999, "out": ")" +
+                        tmp_path("pcs_js_sigma.txt") + "\"}\n");
+  std::ostringstream log;
+  const std::vector<JobOutcome> outcomes = JobService(1).serve(in, log);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_NE(outcomes[0].error.find("job key 'sigma': must be finite"),
+            std::string::npos)
+      << outcomes[0].error;
+  EXPECT_NE(log.str().find("rejected (line 1): job key 'sigma'"),
+            std::string::npos)
+      << log.str();
+}
+
+TEST(JobService, NonFiniteSigmasAreRejectedNamingTheKey) {
+  // The grid job once ran and printed sigma inf with every die unusable.
+  std::istringstream in(R"({"kind": "population_grid", "id": "inf-sigmas",)"
+                        R"( "chips": 200, "sigmas": "0.15,inf", "out": ")" +
+                        tmp_path("pcs_js_sigmas.txt") + "\"}\n");
+  std::ostringstream log;
+  const std::vector<JobOutcome> outcomes = JobService(1).serve(in, log);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_NE(outcomes[0].error.find("job key 'sigmas': non-finite number "
+                                   "'inf'"),
+            std::string::npos)
+      << outcomes[0].error;
+  EXPECT_NE(log.str().find("rejected (line 1): job key 'sigmas'"),
+            std::string::npos)
+      << log.str();
+}
+
 }  // namespace
 }  // namespace pcs

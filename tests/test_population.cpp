@@ -126,8 +126,16 @@ TEST(BinChip, MatchesDenseFaultMapReference) {
   const std::vector<Volt> grid = spec.grid();
   const BerModel ber(Technology::soi45());
   const u32 n = static_cast<u32>(grid.size());
+  const RungCuts cuts(grid, ber.mu(), ber.sigma(), spec.org.bits_per_block());
+  std::vector<u64> draws(spec.org.num_blocks());
+  std::vector<u16> buckets(draws.size());
+  std::vector<u64> faulty_at(n + 2);
 
   for (u64 die = 0; die < 25; ++die) {
+    // The same die twice: its draws, and the field sample_fast builds from
+    // the same RNG stream.
+    Rng draw_rng(derive_seed(spec.seed, 0, die));
+    draw_rng.uniform_bits_block(draws);
     Rng rng(derive_seed(spec.seed, 0, die));
     CellFaultField field = CellFaultField::sample_fast(
         ber, spec.org.num_blocks(), spec.org.bits_per_block(), rng);
@@ -143,8 +151,9 @@ TEST(BinChip, MatchesDenseFaultMapReference) {
     const u32 ref_spcs =
         fm.lowest_level_with_capacity(spec.org.assoc, spec.spcs_min_capacity);
 
-    const ChipBinPoint p =
-        bin_chip(field, spec.org, grid, spec.spcs_min_capacity);
+    const ChipBinPoint p = bin_chip(draws, cuts, spec.org.assoc,
+                                    spec.spcs_min_capacity, buckets,
+                                    faulty_at);
     EXPECT_EQ(p.floor_level, ref_floor) << "die " << die;
     if (ref_floor != 0) {
       EXPECT_EQ(p.spcs_level, ref_spcs) << "die " << die;
@@ -156,6 +165,38 @@ TEST(BinChip, MatchesDenseFaultMapReference) {
       EXPECT_GE(p.spcs_level, p.floor_level) << "die " << die;
     }
   }
+}
+
+TEST(PopulationEngine, RejectsSigmaTheCutsCannotUse) {
+  // Bucketing blocks from their draws needs fail voltages that rise with
+  // the draw: a non-finite or non-positive sigma (or a non-finite mu) is
+  // refused by name before any die is drawn, by both engines.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const PopulationSpec spec = small_spec(10);
+  PopulationGridSpec grid;
+  grid.base = spec;
+  grid.sizes_kb = {16};
+  for (const double sigma : {kInf, kNaN, 0.0, -0.1}) {
+    const BerModel ber(0.05, sigma);
+    for (int engine = 0; engine < 2; ++engine) {
+      try {
+        if (engine == 0) {
+          (void)PopulationEngine(ber, 1).run(spec);
+        } else {
+          (void)PopulationGridEngine(ber, 1).run(grid);
+        }
+        ADD_FAILURE() << "engine " << engine << " ran sigma " << sigma;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("population sigma must be finite "
+                                             "and positive"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_THROW((void)PopulationEngine(BerModel(kNaN, 0.15), 1).run(spec),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

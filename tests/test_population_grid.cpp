@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -54,6 +55,9 @@ TEST(PopulationGridSpec, RejectsDegenerateAxes) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec = small_grid(10);
   spec.sigmas = {0.1, 0.0};  // non-positive sigma
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_grid(10);
+  spec.sigmas = {0.1, std::numeric_limits<double>::infinity()};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec = small_grid(10);
   spec.sizes_kb = {63};  // set count not a power of two
