@@ -135,7 +135,7 @@ void BM_FaultMapBuild(benchmark::State& state) {
   Rng rng(4);
   const auto field = CellFaultField::sample_fast(ber, 32768, 512, rng);
   for (auto _ : state) {
-    FaultMap map({0.58, 0.71, 1.0}, field);
+    FaultMap map({0.58, 0.71, 1.0}, field.fail_voltages());
     benchmark::DoNotOptimize(map);
   }
 }
@@ -146,7 +146,7 @@ void BM_FaultMapViable(benchmark::State& state) {
   Rng rng(4);
   const auto field = CellFaultField::sample_fast(ber, 32768, 512, rng);
   const u32 assoc = static_cast<u32>(state.range(0));
-  const FaultMap map({0.58, 0.71, 1.0}, field, assoc);
+  const FaultMap map({0.58, 0.71, 1.0}, field.fail_voltages(), assoc);
   for (auto _ : state) {
     for (u32 l = 1; l <= map.num_levels(); ++l) {
       benchmark::DoNotOptimize(map.viable(assoc, l));
@@ -160,7 +160,7 @@ void BM_FaultMapViableReference(benchmark::State& state) {
   Rng rng(4);
   const auto field = CellFaultField::sample_fast(ber, 32768, 512, rng);
   const u32 assoc = static_cast<u32>(state.range(0));
-  const FaultMap map({0.58, 0.71, 1.0}, field, assoc);
+  const FaultMap map({0.58, 0.71, 1.0}, field.fail_voltages(), assoc);
   for (auto _ : state) {
     for (u32 l = 1; l <= map.num_levels(); ++l) {
       benchmark::DoNotOptimize(map.viable_reference(assoc, l));
@@ -168,21 +168,6 @@ void BM_FaultMapViableReference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FaultMapViableReference)->Arg(16);
-
-void BM_FaultyCountSweep(benchmark::State& state) {
-  const BerModel ber(Technology::soi45());
-  Rng rng(5);
-  auto field = CellFaultField::sample_fast(ber, 32768, 512, rng);
-  if (state.range(0) != 0) field.enable_sweep_index();
-  for (auto _ : state) {
-    u64 total = 0;
-    for (int i = 0; i < 100; ++i) {
-      total += field.faulty_count(0.45 + 0.005 * i);
-    }
-    benchmark::DoNotOptimize(total);
-  }
-}
-BENCHMARK(BM_FaultyCountSweep)->Arg(0)->Arg(1);
 
 void BM_TransitionProcedure(benchmark::State& state) {
   const auto tech = Technology::soi45();
@@ -194,7 +179,8 @@ void BM_TransitionProcedure(benchmark::State& state) {
   const auto field = CellFaultField::sample_fast(ber, org.num_blocks(),
                                                  org.bits_per_block(), rng);
   CacheLevel cache("l2", org, 4);
-  PcsMechanism mech(cache, FaultMap(ladder.levels, field), ladder,
+  PcsMechanism mech(cache, FaultMap(ladder.levels, field.fail_voltages()),
+                    ladder,
                     ladder.spcs_level, 40);
   u32 target = 1;
   for (auto _ : state) {
@@ -203,6 +189,20 @@ void BM_TransitionProcedure(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransitionProcedure);
+
+/// One die's system build, config B with DPCS: the hierarchy, each level's
+/// ladder selection and its manufactured fault map, from a fresh chip seed
+/// every iteration. Items = builds.
+void BM_SystemBuild(benchmark::State& state) {
+  const SystemConfig cfg = SystemConfig::config_b();
+  u64 chip_seed = 1;
+  for (auto _ : state) {
+    const PcsSystem sys(cfg, PolicyKind::kDynamic, chip_seed++);
+    benchmark::DoNotOptimize(&sys);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SystemBuild);
 
 // ---- Hot-path primitives --------------------------------------------------
 
@@ -440,7 +440,7 @@ void BM_PopulationBinChipDense(benchmark::State& state) {
     Rng rng(derive_seed(spec.seed, 0, die++));
     const auto field = CellFaultField::sample_fast(
         ber, spec.org.num_blocks(), spec.org.bits_per_block(), rng);
-    const FaultMap fm(grid, field, spec.org.assoc);
+    const FaultMap fm(grid, field.fail_voltages(), spec.org.assoc);
     ChipBinPoint p;
     for (u32 l = 1; l <= fm.num_levels(); ++l) {
       if (fm.viable(spec.org.assoc, l)) {

@@ -10,7 +10,7 @@
 //   --warmup N            warm-up references (default refs/4)
 //   --chip-seed N         manufactured die (default 1)
 //   --trace-seed N        workload randomness (default 42)
-//   --levels N            allowed VDD levels (default 3)
+//   --levels N            allowed VDD levels, 2..255 (default 3)
 //   --csv                 emit one CSV row per run instead of tables
 //   --record PATH N       record N events of --workload into PATH and exit
 //   --format text|pcst    container for --record (default text; pcst is the
@@ -49,9 +49,11 @@
 
 #include "exp/job_service.hpp"
 #include "exp/thread_pool.hpp"
+#include "fault/fault_map.hpp"
 #include "telemetry/trace_sink.hpp"
 #include "trace/encode.hpp"
 #include "trace/workload_source.hpp"
+#include "util/parse.hpp"
 
 using namespace pcs;
 
@@ -106,7 +108,16 @@ Options parse(int argc, char** argv) {
       o.job.trace_seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (a == "--levels") {
       need(1);
-      o.job.levels = static_cast<u32>(std::strtoul(argv[++i], nullptr, 10));
+      const char* arg = argv[++i];
+      const auto levels = parse_u64(arg);
+      if (!levels || *levels < 2 || *levels > FaultMap::kMaxLevels) {
+        std::fprintf(stderr,
+                     "pcs_sim: --levels must be an integer in [2, %u], "
+                     "got '%s'\n",
+                     FaultMap::kMaxLevels, arg);
+        std::exit(2);
+      }
+      o.job.levels = static_cast<u32>(*levels);
     } else if (a == "--csv") {
       o.job.csv = true;
     } else if (a == "--record") {

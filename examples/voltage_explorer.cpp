@@ -6,7 +6,7 @@
 //   ./build/examples/voltage_explorer [size_kb] [assoc] [--sweep-lanes]
 //
 // --sweep-lanes appends a lane-parallel behavioral sweep: one manufactured
-// fault field, one lane per ladder level (each lane's faulty blocks are the
+// die, one lane per ladder level (each lane's faulty blocks are the
 // blocks whose fail voltage that level cannot clear), all lanes driven by
 // ONE decode of a synthetic workload through exp/sweep_engine's
 // CacheLaneSweep -- so the miss-rate/capacity cost of each candidate VDD is
@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,8 +23,9 @@
 #include "cachemodel/cache_power_model.hpp"
 #include "core/vdd_levels.hpp"
 #include "exp/sweep_engine.hpp"
-#include "fault/cell_fault_field.hpp"
+#include "fault/rung_cuts.hpp"
 #include "fault/yield_model.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "workload/spec_profiles.hpp"
@@ -37,25 +39,28 @@ namespace {
 void sweep_ladder_lanes(const CacheOrg& org, const BerModel& ber,
                         const VddLadder& ladder) {
   const u64 chip_seed = 1, trace_seed = 42;
+  // A block survives level l iff vdd(l) > its fail voltage -- the same
+  // pass predicate as the Fig. 3d yield kernel. Its bucket over the raw
+  // ladder counts the levels at or below its fail voltage, so it fails
+  // exactly the levels 1..bucket.
+  const RungCuts cuts(ladder.levels, ber.mu(), ber.sigma(),
+                      org.bits_per_block());
   Rng rng(chip_seed);
-  const auto field = CellFaultField::sample_fast(
-      ber, org.num_blocks(), org.bits_per_block(), rng);
+  std::vector<u64> draws(org.num_blocks());
+  std::vector<u16> bucket(draws.size());
+  rng.uniform_bits_block(draws);
+  cuts.bucket_draws(draws, bucket);
 
   std::vector<CacheLaneSweep::LaneSpec> specs;
   for (u32 l = 1; l <= ladder.num_levels(); ++l) {
     specs.push_back({"vdd" + std::to_string(l), org, "lru"});
   }
   CacheLaneSweep lanes(specs);
-
-  // A block survives level l iff vdd(l) > its fail voltage -- the same
-  // pass predicate as the Fig. 3d yield kernels.
   for (u32 l = 1; l <= ladder.num_levels(); ++l) {
     CacheLevel& c = lanes.lane(l - 1);
     for (u64 s = 0; s < org.num_sets(); ++s) {
       for (u32 w = 0; w < org.assoc; ++w) {
-        if (!(ladder.vdd(l) > field.block_fail_voltage(s * org.assoc + w))) {
-          c.set_block_faulty(s, w, true);
-        }
+        if (l <= bucket[s * org.assoc + w]) c.set_block_faulty(s, w, true);
       }
     }
   }
@@ -87,6 +92,20 @@ void sweep_ladder_lanes(const CacheOrg& org, const BerModel& ber,
   t.print(std::cout);
 }
 
+/// Positional argument `arg` as an integer in [1, max]; anything else
+/// exits 2 naming the argument.
+u64 positional(const char* name, const char* arg, u64 max) {
+  const auto v = parse_u64(arg);
+  if (!v || *v == 0 || *v > max) {
+    std::fprintf(stderr,
+                 "voltage_explorer: %s must be an integer in [1, %llu], "
+                 "got '%s'\n",
+                 name, static_cast<unsigned long long>(max), arg);
+    std::exit(2);
+  }
+  return *v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -99,14 +118,20 @@ int main(int argc, char** argv) {
       pos.push_back(argv[i]);
     }
   }
-  const u64 size_kb = pos.size() > 0 ? std::strtoull(pos[0], nullptr, 10)
-                                     : 2048;
+  const u64 size_kb =
+      pos.size() > 0 ? positional("size_kb", pos[0], u64{1} << 30) : 2048;
   const u32 assoc = pos.size() > 1
-                        ? static_cast<u32>(std::strtoul(pos[1], nullptr, 10))
+                        ? static_cast<u32>(
+                              positional("assoc", pos[1], 0xffffffffULL))
                         : 8;
 
   const CacheOrg org{size_kb * 1024, assoc, 64, 31};
-  org.validate();
+  try {
+    org.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "voltage_explorer: %s\n", e.what());
+    return 2;
+  }
   const auto tech = Technology::soi45();
   BerModel ber(tech);
   YieldModel ym(ber, org);

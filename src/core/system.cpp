@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/static_policy.hpp"
-#include "fault/cell_fault_field.hpp"
 #include "trace/workload_source.hpp"
 #include "util/rng.hpp"
 #include "workload/spec_profiles.hpp"
@@ -66,9 +65,8 @@ std::unique_ptr<PcsController> PcsSystem::make_controller(
 
   // ... then manufacture this particular die.
   Rng rng(seed);
-  CellFaultField field = CellFaultField::sample_fast(
-      ber, lc.org.num_blocks(), lc.org.bits_per_block(), rng);
-  FaultMap map(ladder.levels, field, lc.org.assoc);
+  FaultMap map = FaultMap::sample(ladder.levels, ber, lc.org.num_blocks(),
+                                  lc.org.bits_per_block(), lc.org.assoc, rng);
 
   // A 1-in-100 die may violate the set constraint at the lowest levels;
   // DPCS simply never descends below the lowest viable level on that die.

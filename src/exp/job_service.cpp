@@ -18,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -25,6 +26,7 @@
 #include "core/system_energy.hpp"
 #include "exp/thread_pool.hpp"
 #include "fault/ber_model.hpp"
+#include "fault/fault_map.hpp"
 #include "tech/technology.hpp"
 #include "trace/workload_source.hpp"
 #include "util/table.hpp"
@@ -203,6 +205,17 @@ u64 jnum(const JsonObj& o, const char* key, u64 fallback) {
   return static_cast<u64>(v->num);
 }
 
+/// The `levels` key of sim and trace_replay jobs: nominal plus at least
+/// one scaled level, and no more than a fault map's u8 codes hold.
+u32 jlevels(const JsonObj& o, u32 fallback) {
+  const u64 v = jnum(o, "levels", fallback);
+  if (v < 2 || v > FaultMap::kMaxLevels) {
+    bad_job("job key 'levels': must be an integer in [2, 255], got " +
+            std::to_string(v));
+  }
+  return static_cast<u32>(v);
+}
+
 double jreal(const JsonObj& o, const char* key, double fallback) {
   const JsonValue* v = jfind(o, key);
   if (v == nullptr) return fallback;
@@ -330,7 +343,7 @@ Job parse_job_line(const std::string& line) {
     s.warmup = jnum(o, "warmup", s.warmup);
     s.chip_seed = jnum(o, "chip_seed", s.chip_seed);
     s.trace_seed = jnum(o, "trace_seed", s.trace_seed);
-    s.levels = static_cast<u32>(jnum(o, "levels", s.levels));
+    s.levels = jlevels(o, s.levels);
     s.csv = jbool(o, "csv", s.csv);
     s.out = jstr(o, "out", "");
     s.trace_path = jstr(o, "trace", "");
@@ -416,7 +429,7 @@ Job parse_job_line(const std::string& line) {
     t.refs = jnum(o, "refs", t.refs);
     t.warmup = jnum(o, "warmup", t.warmup);
     t.chip_seed = jnum(o, "chip_seed", t.chip_seed);
-    t.levels = static_cast<u32>(jnum(o, "levels", t.levels));
+    t.levels = jlevels(o, t.levels);
     t.csv = jbool(o, "csv", t.csv);
     t.out = jstr(o, "out", "");
     t.trace_path = jstr(o, "trace", "");

@@ -10,7 +10,7 @@
 // and the speedup ratio compare against -- is untouched.
 #include "cache/cache_level_inl.hpp"
 #include "cache/hierarchy_inl.hpp"
-#include "exp/set_fold.hpp"
+#include "fault/set_fold.hpp"
 #include "trace/workload_source.hpp"
 #include "util/rng.hpp"
 #include "workload/spec_profiles.hpp"
@@ -399,13 +399,7 @@ std::vector<SimReport> SweepRunner::run(std::vector<ExperimentPoint> points,
   return rows;
 }
 
-// ---- Fig. 3d Monte-Carlo kernels ------------------------------------------
-
-float chip_fail_voltage(const CellFaultField& field, const CacheOrg& org) {
-  return chip_fail_voltage(
-      std::span<const float>(field.fail_voltages().data(), org.num_blocks()),
-      org.assoc);
-}
+// ---- Die fail voltage (the Fig. 3d fold) ----------------------------------
 
 float chip_fail_voltage(std::span<const float> vf, u32 assoc) {
   // Bit-identical to the flat fold max_s(min_w vf[s][w]) in set order: a
@@ -428,29 +422,6 @@ float chip_fail_voltage(std::span<const float> vf, u32 assoc) {
     case 16: return fold_sets<float, 16>(v, num_sets, assoc, 2.0f, 0.0f);
     default: return fold_sets<float, 0>(v, num_sets, assoc, 2.0f, 0.0f);
   }
-}
-
-std::vector<float> chip_fail_voltages_mc(u64 trials, u64 seed,
-                                         const BerModel& ber,
-                                         const CacheOrg& org,
-                                         u32 num_threads) {
-  return parallel_index_map(num_threads, trials, [&](u64 i) -> float {
-    Rng rng(derive_seed(seed, 0, i));
-    const auto field = CellFaultField::sample_fast(
-        ber, org.num_blocks(), org.bits_per_block(), rng);
-    return chip_fail_voltage(field, org);
-  });
-}
-
-std::vector<u64> yield_pass_counts(const std::vector<float>& chip_vf,
-                                   const std::vector<double>& probes) {
-  std::vector<u64> counts(probes.size(), 0);
-  for (const float vf : chip_vf) {
-    for (std::size_t k = 0; k < probes.size(); ++k) {
-      if (probes[k] > vf) ++counts[k];
-    }
-  }
-  return counts;
 }
 
 }  // namespace pcs

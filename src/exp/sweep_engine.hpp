@@ -40,7 +40,6 @@
 #include "cache/cache_arena.hpp"
 #include "cache/cache_level.hpp"
 #include "exp/experiment_runner.hpp"
-#include "fault/cell_fault_field.hpp"
 
 namespace pcs {
 
@@ -132,33 +131,17 @@ class SweepRunner {
   u32 max_lanes_;
 };
 
-// ---- Fig. 3d Monte-Carlo kernels ------------------------------------------
+// ---- Die fail voltage (the Fig. 3d fold) ----------------------------------
 
 /// Fail voltage of one manufactured die: the max over sets of the min over
-/// ways of the block fail voltages -- one scalar encodes the die's
-/// pass/fail at every probe voltage. Bit-identical to the original
-/// bench/fig3_yield loop (a per-set std::min from 2.0f, then a std::max
-/// from +0.0f in set order) although it folds several sets side by side.
-float chip_fail_voltage(const CellFaultField& field, const CacheOrg& org);
-
-/// Span form over a raw per-block fail-voltage array (vf.size() must be a
-/// multiple of assoc). The CellFaultField overload delegates here, so the
-/// population grid engine's derived vf buffers go through the identical
-/// float min/max fold.
+/// ways of its block fail voltages `vf` (vf.size() must be a multiple of
+/// assoc) -- one scalar encodes the die's pass/fail at every probe
+/// voltage. Bit-identical to the original bench/fig3_yield loop (a per-set
+/// std::min from 2.0f, then a std::max from +0.0f in set order) although
+/// it folds several sets side by side. The library bins dies from their
+/// draws instead (RungCuts::floor_bucket is this fold over buckets); this
+/// serves callers that hold fail voltages, such as the chain-composition
+/// oracle.
 float chip_fail_voltage(std::span<const float> vf, u32 assoc);
-
-/// Manufactures `trials` dies (per-trial SplitMix64-derived seeds) fanned
-/// across `num_threads` workers; returns per-die fail voltages in trial
-/// order, identical at every thread count.
-std::vector<float> chip_fail_voltages_mc(u64 trials, u64 seed,
-                                         const BerModel& ber,
-                                         const CacheOrg& org,
-                                         u32 num_threads);
-
-/// Pass counts at each probe voltage in ONE pass over the dies (the
-/// lane-parallel replacement for per-voltage count_if scans); counts[k] ==
-/// number of dies with probes[k] > fail voltage.
-std::vector<u64> yield_pass_counts(const std::vector<float>& chip_vf,
-                                   const std::vector<double>& probes);
 
 }  // namespace pcs

@@ -85,20 +85,7 @@ CellFaultField CellFaultField::sample_fast_reference(const BerModel& ber,
   return CellFaultField(std::move(vf), bits_per_block);
 }
 
-void CellFaultField::enable_sweep_index() {
-  if (!sorted_vf_.empty() || vf_.empty()) return;
-  sorted_vf_ = vf_;
-  std::sort(sorted_vf_.begin(), sorted_vf_.end());
-}
-
 u64 CellFaultField::faulty_count(Volt vdd) const noexcept {
-  if (!sorted_vf_.empty()) {
-    // Count of blocks with vdd <= vf == count of sorted entries >= vdd.
-    const auto it = std::lower_bound(
-        sorted_vf_.begin(), sorted_vf_.end(), vdd,
-        [](float v, Volt key) { return static_cast<Volt>(v) < key; });
-    return static_cast<u64>(sorted_vf_.end() - it);
-  }
   u64 n = 0;
   for (float v : vf_) {
     if (vdd <= v) ++n;

@@ -32,6 +32,9 @@ class CellFaultField {
   /// statistically identical to sample_exact (verified by tests).
   /// Runs the log/expm1/inv_q_function chain over contiguous draw blocks
   /// (vecmath::sample_vf_block); bit-identical to sample_fast_reference.
+  /// The library's fault consumers bucket the same draws on their ladders
+  /// instead (FaultMap::sample, RungCuts); this is what they are tested
+  /// against.
   static CellFaultField sample_fast(const BerModel& ber, u64 num_blocks,
                                     u32 bits_per_block, Rng& rng);
 
@@ -61,15 +64,8 @@ class CellFaultField {
     return vdd <= vf_[block];
   }
 
-  /// Number of faulty blocks at `vdd`.  O(blocks) by default; after
-  /// enable_sweep_index() it is O(log blocks) per query.
+  /// Number of faulty blocks at `vdd`.  O(blocks).
   u64 faulty_count(Volt vdd) const noexcept;
-
-  /// Builds a sorted copy of the failure voltages so repeated
-  /// faulty_count()/effective_capacity() sweeps (chip binning, yield curves)
-  /// answer via binary search instead of a full scan.  Call once after
-  /// construction, before any concurrent sharing; idempotent.
-  void enable_sweep_index();
 
   /// Fraction of non-faulty blocks at `vdd` (measured effective capacity).
   double effective_capacity(Volt vdd) const noexcept;
@@ -80,7 +76,6 @@ class CellFaultField {
 
  private:
   std::vector<float> vf_;
-  std::vector<float> sorted_vf_;  // ascending; empty until enable_sweep_index
   u32 bits_per_block_;
 };
 

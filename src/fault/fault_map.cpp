@@ -2,50 +2,91 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+
+#include "fault/ber_model.hpp"
+#include "fault/rung_cuts.hpp"
+#include "fault/set_fold.hpp"
+#include "util/rng.hpp"
 
 namespace pcs {
 
-FaultMap::FaultMap(std::vector<Volt> levels_ascending,
-                   const CellFaultField& field, u32 assoc_hint)
+FaultMap::FaultMap(std::vector<Volt> levels_ascending, u32 assoc_hint)
     : levels_(std::move(levels_ascending)), assoc_hint_(assoc_hint) {
-  code_.resize(field.num_blocks());
-  std::vector<float> vf(field.num_blocks());
-  for (u64 b = 0; b < field.num_blocks(); ++b) {
-    vf[b] = static_cast<float>(field.block_fail_voltage(b));
-  }
-  build_from_voltages(vf);
-}
-
-FaultMap::FaultMap(std::vector<Volt> levels_ascending,
-                   std::span<const float> block_fail_voltages, u32 assoc_hint)
-    : levels_(std::move(levels_ascending)), assoc_hint_(assoc_hint) {
-  code_.resize(block_fail_voltages.size());
-  build_from_voltages(block_fail_voltages);
-}
-
-void FaultMap::build_from_voltages(std::span<const float> vf) {
   if (levels_.empty()) throw std::invalid_argument("need >= 1 VDD level");
+  if (levels_.size() > kMaxLevels) {
+    throw std::invalid_argument(
+        "fault map holds at most 255 VDD levels (u8 codes), got " +
+        std::to_string(levels_.size()));
+  }
   if (!std::is_sorted(levels_.begin(), levels_.end()) ||
       std::adjacent_find(levels_.begin(), levels_.end()) != levels_.end()) {
     throw std::invalid_argument("levels must be strictly ascending");
   }
-  const u32 n = num_levels();
+}
+
+FaultMap::FaultMap(std::vector<Volt> levels_ascending,
+                   std::span<const float> block_fail_voltages, u32 assoc_hint)
+    : FaultMap(std::move(levels_ascending), assoc_hint) {
   // Compare in float so a measured failure voltage exactly at a level
   // voltage counts as faulty there (cells fail at V <= Vf).  The thresholds
   // ascend, so "count of levels <= vf" equals the length of the true prefix
   // the reference level loop walked -- computed branchlessly here.
-  std::vector<float> thr(n);
-  for (u32 l = 0; l < n; ++l) thr[l] = static_cast<float>(levels_[l]);
-  std::vector<u64> code_hist(static_cast<std::size_t>(n) + 1, 0);
-  for (u64 b = 0; b < vf.size(); ++b) {
-    const float v = vf[b];
+  const std::vector<float> thr = thresholds();
+  std::vector<u64> code_hist(thr.size() + 1, 0);
+  code_.resize(block_fail_voltages.size());
+  for (u64 b = 0; b < code_.size(); ++b) {
+    const float v = block_fail_voltages[b];
     u32 c = 0;
-    for (u32 l = 0; l < n; ++l) c += thr[l] <= v ? 1u : 0u;
+    for (const float t : thr) c += t <= v ? 1u : 0u;
     code_[b] = static_cast<u8>(c);
     ++code_hist[c];
   }
+  summarize(code_hist);
+}
+
+FaultMap FaultMap::sample(std::vector<Volt> levels_ascending,
+                          const BerModel& ber, u64 num_blocks,
+                          u32 bits_per_block, u32 assoc_hint, Rng& rng) {
+  FaultMap m(std::move(levels_ascending), assoc_hint);
+  // A code counts the thresholds at or below the block's fail voltage:
+  // RungCuts' bucket over the thresholds, compared exactly in double.
+  const std::vector<float> thr = m.thresholds();
+  const std::vector<Volt> rungs(thr.begin(), thr.end());
+  const RungCuts cuts(rungs, ber.mu(), ber.sigma(), bits_per_block);
+  std::vector<u64> code_hist(rungs.size() + 1, 0);
+  m.code_.resize(num_blocks);
+  // Draws go through fixed chunks, so the buffers stay small on any die.
+  constexpr u64 kChunk = 4096;
+  std::vector<u64> draws(std::min(num_blocks, kChunk));
+  std::vector<u16> buckets(draws.size());
+  for (u64 base = 0; base < num_blocks; base += kChunk) {
+    const std::size_t todo = std::min(kChunk, num_blocks - base);
+    const std::span<u64> d(draws.data(), todo);
+    const std::span<u16> b(buckets.data(), todo);
+    rng.uniform_bits_block(d);
+    cuts.bucket_draws(d, b);
+    for (std::size_t i = 0; i < todo; ++i) {
+      m.code_[base + i] = static_cast<u8>(b[i]);
+      ++code_hist[b[i]];
+    }
+  }
+  m.summarize(code_hist);
+  return m;
+}
+
+std::vector<float> FaultMap::thresholds() const {
+  std::vector<float> thr(levels_.size());
+  for (std::size_t l = 0; l < thr.size(); ++l) {
+    thr[l] = static_cast<float>(levels_[l]);
+  }
+  return thr;
+}
+
+void FaultMap::summarize(std::span<const u64> code_hist) {
   // faulty_count(L) = #blocks with code >= L: one suffix sum over the code
   // histogram instead of up-to-N increments per block.
+  const u32 n = num_levels();
   faulty_at_level_.assign(n, 0);
   u64 running = 0;
   for (u32 l = n; l >= 1; --l) {
@@ -55,16 +96,8 @@ void FaultMap::build_from_voltages(std::span<const float> vf) {
   // Viability summary for the hinted associativity: a set is all-faulty at
   // level L iff L <= min(code in set), so max-of-set-minima decides
   // viability for every level at once.
-  max_min_code_ = 0;
-  if (assoc_hint_ > 0 && !code_.empty()) {
-    const u64 sets = code_.size() / assoc_hint_;
-    for (u64 s = 0; s < sets; ++s) {
-      u8 min_code = 255;
-      for (u32 w = 0; w < assoc_hint_; ++w) {
-        min_code = std::min(min_code, code_[s * assoc_hint_ + w]);
-      }
-      max_min_code_ = std::max(max_min_code_, min_code);
-    }
+  if (assoc_hint_ > 0) {
+    max_min_code_ = fold_sets<u8>(code_, assoc_hint_, u8{255}, u8{0});
   }
 }
 

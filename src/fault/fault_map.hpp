@@ -11,10 +11,12 @@
 #include <span>
 #include <vector>
 
-#include "fault/cell_fault_field.hpp"
 #include "util/types.hpp"
 
 namespace pcs {
+
+class BerModel;
+class Rng;
 
 /// Immutable per-block fault codes for a fixed ladder of VDD levels.
 ///
@@ -23,21 +25,31 @@ namespace pcs {
 /// 1..f and non-faulty at levels f+1..N; f = 0 means never faulty.
 class FaultMap {
  public:
-  /// Builds from a manufactured fault field: block b is faulty at level L
-  /// iff levels[L-1] <= field.block_fail_voltage(b).
-  /// `levels_ascending` must be strictly ascending voltages.
+  /// Most levels a map holds: codes are u8.
+  static constexpr u32 kMaxLevels = 255;
+
+  /// Builds from measured per-block failure voltages (e.g. BIST output):
+  /// block b is faulty at level L iff float(levels[L-1]) <= vf[b].
+  /// `levels_ascending` must be 1..kMaxLevels strictly ascending voltages
+  /// (std::invalid_argument otherwise).
   ///
   /// `assoc_hint` (optional): the set associativity the map will be queried
   /// with.  When non-zero, the build precomputes each set's minimum code and
   /// the maximum of those minima, collapsing viable(assoc_hint, level) to a
   /// single comparison and lowest_level_with_capacity to O(levels).  Queries
   /// with a different assoc fall back to the reference scan.
-  FaultMap(std::vector<Volt> levels_ascending, const CellFaultField& field,
-           u32 assoc_hint = 0);
-
-  /// Builds from measured per-block failure voltages (e.g. BIST output).
   FaultMap(std::vector<Volt> levels_ascending,
            std::span<const float> block_fail_voltages, u32 assoc_hint = 0);
+
+  /// Manufactures a die's map: the map FaultMap(levels, CellFaultField::
+  /// sample_fast(ber, num_blocks, bits_per_block, rng).fail_voltages(),
+  /// assoc_hint) builds, code for code, with `rng` left in the same state.
+  /// Draws the same uniforms (Rng::uniform_bits_block) but buckets each
+  /// block from its draw with RungCuts over the float-rounded levels, so
+  /// the order-statistic chain runs only for draws next to a cut.
+  static FaultMap sample(std::vector<Volt> levels_ascending,
+                         const BerModel& ber, u64 num_blocks,
+                         u32 bits_per_block, u32 assoc_hint, Rng& rng);
 
   u32 num_levels() const noexcept { return static_cast<u32>(levels_.size()); }
   u64 num_blocks() const noexcept { return code_.size(); }
@@ -86,7 +98,13 @@ class FaultMap {
   u64 storage_bits() const noexcept;
 
  private:
-  void build_from_voltages(std::span<const float> vf);
+  /// Validates the levels; code_ is left empty.
+  FaultMap(std::vector<Volt> levels_ascending, u32 assoc_hint);
+  /// The level thresholds codes count: float(levels[l]).
+  std::vector<float> thresholds() const;
+  /// Per-level faulty counts from the code histogram (num_levels + 1
+  /// entries) and the viability summary from code_.
+  void summarize(std::span<const u64> code_hist);
 
   std::vector<Volt> levels_;
   std::vector<u8> code_;

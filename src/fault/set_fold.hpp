@@ -1,6 +1,7 @@
 // The viability fold: the max over sets of the min over ways of per-block
-// values, shared by chip_fail_voltage (block fail voltages, sweep_engine)
-// and RungCuts::floor_bucket (their ladder buckets, population_engine).
+// values, shared by chip_fail_voltage (block fail voltages, sweep_engine),
+// RungCuts::floor_bucket (their ladder buckets) and FaultMap's viability
+// summary (fault-map codes).
 //
 // Header-only with internal linkage, so each translation unit compiles
 // just its own element type as if the fold were local to it. That keeps

@@ -5,7 +5,6 @@
 
 #include "core/static_policy.hpp"
 #include "core/vdd_levels.hpp"
-#include "fault/cell_fault_field.hpp"
 #include "util/rng.hpp"
 
 namespace pcs {
@@ -80,9 +79,8 @@ std::unique_ptr<PcsController> MultiPcsSystem::make_controller(
   VddLadder ladder = selector.select(sel);
 
   Rng rng(seed);
-  CellFaultField field = CellFaultField::sample_fast(
-      ber, lc.org.num_blocks(), lc.org.bits_per_block(), rng);
-  FaultMap map(ladder.levels, field, lc.org.assoc);
+  FaultMap map = FaultMap::sample(ladder.levels, ber, lc.org.num_blocks(),
+                                  lc.org.bits_per_block(), lc.org.assoc, rng);
 
   u32 min_viable = ladder.spcs_level;
   for (u32 lvl = 1; lvl <= ladder.spcs_level; ++lvl) {

@@ -1,9 +1,7 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 
-#include "util/vecmath.hpp"
 
 namespace pcs {
 namespace {
@@ -56,36 +54,7 @@ void Rng::uniform_bits_block(std::span<u64> out) noexcept {
 }
 
 void Rng::gaussian_block(std::span<double> out) noexcept {
-  std::size_t i = 0;
-  const std::size_t n = out.size();
-  if (has_cached_gaussian_ && i < n) {
-    has_cached_gaussian_ = false;
-    out[i++] = cached_gaussian_;
-  }
-  // Box-Muller pairs.  The scalar loop interleaves draw and compute, but the
-  // computation consumes no draws, so drawing a chunk of (u1, u2) pairs up
-  // front leaves the RNG sequence untouched; the math per pair is verbatim
-  // gaussian(), with the log() calls batched.
-  constexpr std::size_t kPairs = 128;
-  double u1[kPairs], lg[kPairs], u2[kPairs];
-  while (n - i >= 2) {
-    const std::size_t pairs = std::min((n - i) / 2, kPairs);
-    for (std::size_t k = 0; k < pairs; ++k) {
-      do {
-        u1[k] = uniform();
-      } while (u1[k] <= 0.0);
-      u2[k] = uniform();
-    }
-    vecmath::log_block(u1, lg, pairs);
-    for (std::size_t k = 0; k < pairs; ++k) {
-      const double r = std::sqrt(-2.0 * lg[k]);
-      const double theta = 2.0 * M_PI * u2[k];
-      out[i + 2 * k] = r * std::cos(theta);
-      out[i + 2 * k + 1] = r * std::sin(theta);
-    }
-    i += 2 * pairs;
-  }
-  if (i < n) out[i] = gaussian();  // odd tail: draws a pair, caches the sine
+  for (double& v : out) v = gaussian();
 }
 
 void Rng::gaussian_block(std::span<double> out, double mean,

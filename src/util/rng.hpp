@@ -83,14 +83,13 @@ class Rng {
 
   /// Fills `out` with the 53-bit integers K that `out.size()` consecutive
   /// uniform() calls would scale to K * 2^-53 -- the same draws in the same
-  /// sequence, before the conversion to double. The population engines
-  /// bucket blocks straight from K (see RungCuts in population_engine.hpp).
+  /// sequence, before the conversion to double. Every fault consumer
+  /// buckets blocks straight from K (see fault/rung_cuts.hpp).
   void uniform_bits_block(std::span<u64> out) noexcept;
 
   /// Fills `out` with exactly the values `out.size()` consecutive gaussian()
   /// calls would produce, including consuming/leaving the cached second
-  /// Box-Muller deviate the same way the scalar loop would.  The log() calls
-  /// are batched through vecmath (bit-identical; see vecmath.hpp).
+  /// Box-Muller deviate the same way the scalar loop would.
   void gaussian_block(std::span<double> out) noexcept;
 
   /// Block version of gaussian(mean, stddev); same equivalence guarantee.

@@ -1,57 +1,12 @@
 #include "util/vecmath.hpp"
 
 #include <cmath>
-#include <mutex>
 
 #include "util/mathx.hpp"
-#include "util/vecmath_detail.hpp"
 
-namespace pcs::vecmath_detail {
+namespace pcs::vecmath {
 
 namespace {
-
-void exp_scalar(const double* in, double* out, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) out[i] = std::exp(in[i]);
-}
-void log_scalar(const double* in, double* out, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) out[i] = std::log(in[i]);
-}
-void expm1_scalar(const double* in, double* out, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) out[i] = std::expm1(in[i]);
-}
-void erfc_scalar(const double* in, double* out, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) out[i] = std::erfc(in[i]);
-}
-
-void sample_vf_scalar(const double* u_draws, std::size_t count,
-                      double bits_per_block, double mu, double sigma,
-                      float* vf_out) {
-  for (std::size_t i = 0; i < count; ++i)
-    vf_out[i] = sample_vf_one(u_draws[i], bits_per_block, mu, sigma);
-}
-
-void sample_z_scalar(const double* u_draws, std::size_t count,
-                     double bits_per_block, double* z_out) {
-  for (std::size_t i = 0; i < count; ++i)
-    z_out[i] = sample_z_one(u_draws[i], bits_per_block);
-}
-
-const Kernels& kernels() {
-  static const Kernels k = [] {
-    Kernels out{exp_scalar, log_scalar, expm1_scalar, erfc_scalar,
-                sample_vf_scalar, sample_z_scalar, false};
-#if defined(PCS_HAVE_VECMATH_AVX2)
-    // The AVX2 TU is compiled with -mavx2 -mfma; only enter it on capable
-    // hardware.  (This TU is baseline x86-64, so the check itself is safe.)
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-      try_init_avx2(out);
-#endif
-    return out;
-  }();
-  return k;
-}
-
-}  // namespace
 
 double sample_z_one(double u, double bits_per_block) {
   if (u <= 0.0) u = 1e-300;
@@ -59,50 +14,31 @@ double sample_z_one(double u, double bits_per_block) {
   return inv_q_function(p);
 }
 
-float sample_vf_one(double u, double bits_per_block, double mu, double sigma) {
-  // Same chain as before the z split; the affine tail stays in this TU so
-  // its codegen (plain mul + add, no contraction on baseline x86-64)
-  // matches vf_from_z_block exactly.
-  return static_cast<float>(mu + sigma * sample_z_one(u, bits_per_block));
-}
+}  // namespace
 
-}  // namespace pcs::vecmath_detail
+bool fast_math_active() { return false; }
 
-namespace pcs::vecmath {
-
-using vecmath_detail::kernels;
-
-bool fast_math_active() { return kernels().active; }
-
-void exp_block(const double* in, double* out, std::size_t count) {
-  kernels().exp_b(in, out, count);
-}
-void log_block(const double* in, double* out, std::size_t count) {
-  kernels().log_b(in, out, count);
-}
-void expm1_block(const double* in, double* out, std::size_t count) {
-  kernels().expm1_b(in, out, count);
-}
-void erfc_block(const double* in, double* out, std::size_t count) {
-  kernels().erfc_b(in, out, count);
-}
+// The affine tail mu + sigma * z is one expression shape in both
+// functions below (a plain mul + add: baseline x86-64 has no FMA to
+// contract into), so sample_vf_block equals the split composition.
 void sample_vf_block(const double* u_draws, std::size_t count,
                      double bits_per_block, double mu, double sigma,
                      float* vf_out) {
-  kernels().sample(u_draws, count, bits_per_block, mu, sigma, vf_out);
+  for (std::size_t i = 0; i < count; ++i) {
+    vf_out[i] = static_cast<float>(
+        mu + sigma * sample_z_one(u_draws[i], bits_per_block));
+  }
 }
 
 void sample_z_block(const double* u_draws, std::size_t count,
                     double bits_per_block, double* z_out) {
-  kernels().sample_z(u_draws, count, bits_per_block, z_out);
+  for (std::size_t i = 0; i < count; ++i) {
+    z_out[i] = sample_z_one(u_draws[i], bits_per_block);
+  }
 }
 
 void vf_from_z_block(const double* z, std::size_t count, double mu,
                      double sigma, float* vf_out) {
-  // Kept scalar in this TU on purpose: the expression shape matches the
-  // affine tail of sample_vf_one, and the AVX2 sampler's explicit
-  // mul/add/cvt intrinsics (-ffp-contract=off) evaluate it identically, so
-  // there is nothing kernel-specific to dispatch on.
   for (std::size_t i = 0; i < count; ++i) {
     vf_out[i] = static_cast<float>(mu + sigma * z[i]);
   }

@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "fault/cell_fault_field.hpp"
 #include "tech/technology.hpp"
+#include "util/rng.hpp"
 
 namespace pcs {
 namespace {
@@ -39,7 +41,7 @@ TEST(FaultMap, InclusionPropertyHolds) {
   Rng rng(1);
   BerModel ber(Technology::soi45());
   const auto field = CellFaultField::sample_fast(ber, 4096, 512, rng);
-  const FaultMap m(kLevels, field);
+  const FaultMap m(kLevels, field.fail_voltages());
   for (u64 b = 0; b < m.num_blocks(); ++b) {
     for (u32 level = 2; level <= m.num_levels(); ++level) {
       if (m.faulty_at(b, level)) {
@@ -63,7 +65,7 @@ TEST(FaultMap, CapacityMonotoneInLevel) {
   Rng rng(2);
   BerModel ber(Technology::soi45());
   const auto field = CellFaultField::sample_fast(ber, 8192, 512, rng);
-  const FaultMap m(kLevels, field);
+  const FaultMap m(kLevels, field.fail_voltages());
   for (u32 level = 2; level <= m.num_levels(); ++level) {
     EXPECT_GE(m.effective_capacity(level), m.effective_capacity(level - 1));
   }
@@ -127,10 +129,31 @@ TEST(FaultMap, AgreesWithFieldCounts) {
   Rng rng(3);
   BerModel ber(Technology::soi45());
   const auto field = CellFaultField::sample_fast(ber, 4096, 512, rng);
-  const FaultMap m(kLevels, field);
+  const FaultMap m(kLevels, field.fail_voltages());
   for (u32 level = 1; level <= 3; ++level) {
     EXPECT_EQ(m.faulty_count(level), field.faulty_count(kLevels[level - 1]));
   }
+}
+
+TEST(FaultMap, RejectsMoreLevelsThanItsCodesHold) {
+  // 300 levels once wrapped a code of 299 to 43, so a block faulty at the
+  // operating point looked usable there.
+  std::vector<Volt> levels(256);
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    levels[i] = 0.4 + 0.001 * static_cast<double>(i);
+  }
+  const std::vector<float> vf = {0.3f, 0.9f};
+  const BerModel ber(Technology::soi45());
+  Rng rng(1);
+  EXPECT_THROW(FaultMap(levels, std::span<const float>(vf)),
+               std::invalid_argument);
+  EXPECT_THROW(FaultMap::sample(levels, ber, 64, 512, 4, rng),
+               std::invalid_argument);
+  levels.pop_back();  // 255 levels: the most a u8 code holds
+  const FaultMap m(levels, std::span<const float>(vf));
+  EXPECT_EQ(m.code(0), 0);
+  EXPECT_EQ(m.code(1), 255);
+  EXPECT_EQ(m.faulty_count(255), 1u);
 }
 
 }  // namespace

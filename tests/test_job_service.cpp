@@ -396,5 +396,35 @@ TEST(JobService, NonFiniteSigmasAreRejectedNamingTheKey) {
       << log.str();
 }
 
+TEST(JobService, LevelsOutsideTheFaultMapRangeAreRejectedNamingTheKey) {
+  // 4294967299 once wrapped to 3 levels, and 256 or more wrapped the fault
+  // map's u8 codes; both jobs reported ok.
+  std::istringstream in(
+      R"({"kind": "sim", "id": "wrap", "levels": 4294967299, "out": ")" +
+      tmp_path("pcs_js_levels_wrap.txt") + "\"}\n" +
+      R"({"kind": "sim", "id": "many", "levels": 256, "out": ")" +
+      tmp_path("pcs_js_levels_many.txt") + "\"}\n" +
+      R"({"kind": "trace_replay", "id": "one", "file": "x.pcst", "levels": 1,)"
+      R"( "out": ")" +
+      tmp_path("pcs_js_levels_one.txt") + "\"}\n");
+  std::ostringstream log;
+  const std::vector<JobOutcome> outcomes = JobService(1).serve(in, log);
+  ASSERT_EQ(outcomes.size(), 3u);
+  const char* got[] = {"got 4294967299", "got 256", "got 1"};
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_FALSE(outcomes[i].ok);
+    EXPECT_NE(outcomes[i].error.find(std::string("job key 'levels': must be "
+                                                 "an integer in [2, 255], ") +
+                                     got[i]),
+              std::string::npos)
+        << outcomes[i].error;
+  }
+  EXPECT_EQ(parse_job_line(R"({"levels": 255})").sim.levels, 255u);
+  EXPECT_EQ(parse_job_line(R"({"kind": "trace_replay", "file": "x.pcst",)"
+                           R"( "levels": 2})")
+                .trace_replay.levels,
+            2u);
+}
+
 }  // namespace
 }  // namespace pcs

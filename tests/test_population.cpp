@@ -15,6 +15,7 @@
 #include "exp/population_engine.hpp"
 #include "exp/population_grid.hpp"
 #include "fault/ber_model.hpp"
+#include "fault/cell_fault_field.hpp"
 #include "fault/fault_map.hpp"
 #include "tech/technology.hpp"
 #include "telemetry/trace_sink.hpp"
@@ -139,7 +140,7 @@ TEST(BinChip, MatchesDenseFaultMapReference) {
     Rng rng(derive_seed(spec.seed, 0, die));
     CellFaultField field = CellFaultField::sample_fast(
         ber, spec.org.num_blocks(), spec.org.bits_per_block(), rng);
-    const FaultMap fm(grid, field, spec.org.assoc);
+    const FaultMap fm(grid, field.fail_voltages(), spec.org.assoc);
 
     u32 ref_floor = 0;
     for (u32 l = 1; l <= n; ++l) {

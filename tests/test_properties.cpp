@@ -12,6 +12,7 @@
 #include "core/mechanism.hpp"
 #include "core/vdd_levels.hpp"
 #include "exp/sweep_engine.hpp"
+#include "fault/cell_fault_field.hpp"
 #include "fault/fault_map.hpp"
 #include "fault/yield_model.hpp"
 #include "workload/spec_profiles.hpp"
@@ -57,8 +58,8 @@ TEST_P(OrgSweep, MechanismRoundTripIsLossless) {
   const auto field = CellFaultField::sample_fast(ber, org.num_blocks(),
                                                  org.bits_per_block(), rng);
   CacheLevel cache("t", org, 2);
-  PcsMechanism mech(cache, FaultMap(ladder.levels, field), ladder,
-                    ladder.spcs_level, 40);
+  PcsMechanism mech(cache, FaultMap(ladder.levels, field.fail_voltages()),
+                    ladder, ladder.spcs_level, 40);
   const u64 initial = cache.faulty_block_count();
   mech.transition(1);
   EXPECT_GE(cache.faulty_block_count(), initial);
@@ -107,7 +108,7 @@ TEST_P(SeedSweep, InclusionThroughPipeline) {
   BerModel ber(Technology::soi45());
   const auto field = CellFaultField::sample_fast(ber, 2048, 512, rng);
   const std::vector<Volt> levels = {0.55, 0.65, 0.75, 1.0};
-  const FaultMap map(levels, field);
+  const FaultMap map(levels, field.fail_voltages());
   for (u64 b = 0; b < map.num_blocks(); ++b) {
     for (u32 l = 2; l <= map.num_levels(); ++l) {
       if (map.faulty_at(b, l)) {
@@ -146,12 +147,13 @@ TEST_P(SeedSweep, MapEncodingMonotoneUnderVoltageSteps) {
   BerModel ber(Technology::soi45());
   const auto field = CellFaultField::sample_fast(ber, 2048, 512, rng);
   const std::vector<Volt> base = {0.55, 0.65, 0.75, 1.0};
-  const FaultMap map(base, field);
+  const FaultMap map(base, field.fail_voltages());
   for (Volt step : {0.01, 0.025, 0.05}) {
     std::vector<Volt> lowered = base, raised = base;
     for (auto& v : lowered) v -= step;
     for (auto& v : raised) v += step;
-    const FaultMap down(lowered, field), up(raised, field);
+    const FaultMap down(lowered, field.fail_voltages());
+    const FaultMap up(raised, field.fail_voltages());
     for (u64 b = 0; b < map.num_blocks(); ++b) {
       ASSERT_GE(down.code(b), map.code(b))
           << "block " << b << " code cleared when the ladder dropped by "
@@ -171,7 +173,7 @@ TEST_P(SeedSweep, MapCapacityMatchesFieldAtEveryLevel) {
   BerModel ber(Technology::soi45());
   const auto field = CellFaultField::sample_fast(ber, 4096, 512, rng);
   const std::vector<Volt> levels = {0.55, 0.65, 0.75, 1.0};
-  const FaultMap map(levels, field);
+  const FaultMap map(levels, field.fail_voltages());
   for (u32 l = 1; l <= map.num_levels(); ++l) {
     EXPECT_NEAR(map.effective_capacity(l),
                 field.effective_capacity(levels[l - 1]), 1e-12);

@@ -18,12 +18,15 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cache/cache_level.hpp"
 #include "core/system.hpp"
 #include "exp/experiment_runner.hpp"
+#include "exp/population_engine.hpp"
+#include "fault/cell_fault_field.hpp"
 #include "util/rng.hpp"
 
 namespace pcs {
@@ -264,12 +267,17 @@ TEST(SweepYield, PassCountsMatchPerVoltageScans) {
   const auto tech = Technology::soi45();
   const CacheOrg org{64 * 1024, 4, 64, 31};
   BerModel ber(tech);
-  const auto chip_vf = chip_fail_voltages_mc(64, 7, ber, org, 1);
-  ASSERT_EQ(chip_vf.size(), 64u);
-
-  const std::vector<double> probes = {0.60, 0.625, 0.65, 0.70, 0.75};
-  const auto counts = yield_pass_counts(chip_vf, probes);
+  const std::vector<Volt> probes = {0.60, 0.625, 0.65, 0.70, 0.75};
+  const auto counts = yield_pass_counts_mc(64, 7, ber, org, probes, 1);
   ASSERT_EQ(counts.size(), probes.size());
+  // Each die's fail voltage from its field, as the bench computed it.
+  std::vector<float> chip_vf;
+  for (u64 i = 0; i < 64; ++i) {
+    Rng rng(derive_seed(7, 0, i));
+    const auto field = CellFaultField::sample_fast(
+        ber, org.num_blocks(), org.bits_per_block(), rng);
+    chip_vf.push_back(chip_fail_voltage(field.fail_voltages(), org.assoc));
+  }
   for (std::size_t k = 0; k < probes.size(); ++k) {
     u64 want = 0;
     for (const float vf : chip_vf) {
@@ -281,14 +289,18 @@ TEST(SweepYield, PassCountsMatchPerVoltageScans) {
   for (std::size_t k = 1; k < counts.size(); ++k) {
     EXPECT_GE(counts[k], counts[k - 1]);
   }
+  const std::vector<Volt> descending = {0.75, 0.60};
+  EXPECT_THROW(yield_pass_counts_mc(4, 7, ber, org, descending, 1),
+               std::invalid_argument);
 }
 
 TEST(SweepYield, McFailVoltagesAreThreadCountInvariant) {
   const auto tech = Technology::soi45();
   const CacheOrg org{64 * 1024, 4, 64, 31};
   BerModel ber(tech);
-  const auto serial = chip_fail_voltages_mc(32, 7, ber, org, 1);
-  const auto parallel = chip_fail_voltages_mc(32, 7, ber, org, 4);
+  const std::vector<Volt> probes = {0.55, 0.58, 0.60, 0.62, 0.65};
+  const auto serial = yield_pass_counts_mc(32, 7, ber, org, probes, 1);
+  const auto parallel = yield_pass_counts_mc(32, 7, ber, org, probes, 4);
   EXPECT_EQ(serial, parallel);
 }
 

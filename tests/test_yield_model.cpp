@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "fault/cell_fault_field.hpp"
 #include "fault/fault_map.hpp"
 #include "tech/technology.hpp"
 #include "util/rng.hpp"
@@ -118,7 +119,7 @@ TEST(YieldModel, MonteCarloAgreesOnSetYield) {
   for (int c = 0; c < chips; ++c) {
     const auto field = CellFaultField::sample_fast(ber, org.num_blocks(),
                                                    org.bits_per_block(), rng);
-    const FaultMap map({v, 1.0}, field);
+    const FaultMap map({v, 1.0}, field.fail_voltages());
     if (map.viable(org.assoc, 1)) ++ok;
   }
   const double measured = static_cast<double>(ok) / chips;
