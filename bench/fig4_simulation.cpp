@@ -10,14 +10,16 @@
 // SPCS nearly everywhere, with a larger gap for config B's bigger caches;
 // perf overheads <= 2.6% (A) / 4.4% (B); no benchmark regressing energy.
 //
-// Runtime scales with PCS_REFS (default 2,000,000 measured refs per run)
-// and parallelizes across PCS_THREADS workers (default: all hardware
-// threads; the output is byte-identical at every thread count). Set
-// PCS_TRACE=<path> to also write a telemetry trace of all 96 runs
-// (TELEMETRY.md); its deterministic section is likewise byte-identical at
-// every thread count. Pass --trace-file PATH (repeatable) to replay
-// recorded trace files -- text or the compressed .pcst container
-// (TRACES.md) -- in place of the synthetic workload column.
+// Runtime scales with PCS_REFS (default 2,000,000 measured refs per run).
+// The grid runs through SweepRunner: each workload's trace is decoded once
+// per shard of up to 16 lanes, and shards fan across PCS_THREADS workers
+// (default: all hardware threads; the output is byte-identical at every
+// thread count). Set PCS_TRACE=<path> to also write a telemetry trace of
+// all 96 runs (TELEMETRY.md); its deterministic section is likewise
+// byte-identical at every thread count. Pass --trace-file PATH
+// (repeatable) to replay recorded trace files -- text or the compressed
+// .pcst container (TRACES.md) -- in place of the synthetic workload
+// column.
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -25,9 +27,9 @@
 #include <vector>
 
 #include "core/system.hpp"
-#include "exp/experiment_runner.hpp"
 #include "exp/sweep_engine.hpp"
 #include "telemetry/trace_sink.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/spec_profiles.hpp"
@@ -40,12 +42,6 @@ struct Row {
   std::string name;
   SimReport base, spcs, dpcs;
 };
-
-/// 0 = scalar ExperimentRunner; >0 = SweepRunner with that many lanes per
-/// shard. Both paths produce byte-identical stdout (pinned by the golden
-/// regression and the CI cmp smoke); the sweep path just decodes each trace
-/// once per shard instead of once per grid point.
-u32 g_sweep_lanes = 0;
 
 /// Non-empty = replay these recorded trace files (text or .pcst, see
 /// TRACES.md) instead of the sixteen synthetic SPEC-like profiles. The
@@ -84,15 +80,10 @@ std::vector<std::vector<Row>> run_grid(u64 refs) {
     sink = make_trace_sink(path);
     emit_trace_header(*sink);
   }
-  std::vector<SimReport> reports;
-  if (g_sweep_lanes > 0) {
-    SweepOptions opt;
-    opt.num_threads = 0;  // pcs_thread_count(), same default as the runner
-    opt.max_lanes = g_sweep_lanes;
-    reports = SweepRunner(opt).run(grid, sink.get());
-  } else {
-    reports = ExperimentRunner().run(grid, sink.get());
-  }
+  SweepOptions opt;
+  opt.num_threads = 0;  // pcs_thread_count()
+  opt.max_lanes = 16;
+  const auto reports = SweepRunner(opt).run(grid, sink.get());
 
   const u64 num_wl = grid_workloads().size();
   std::vector<std::vector<Row>> rows(2, std::vector<Row>(num_wl));
@@ -192,27 +183,22 @@ int main(int argc, char** argv) {
   // within the measured window; PCS_REFS trades fidelity for wall clock.
   u64 refs = 2'000'000;
   if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10);
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sweep-lanes") == 0) {
-      g_sweep_lanes = 16;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        g_sweep_lanes = static_cast<u32>(
-            std::strtoul(argv[++i], nullptr, 10));
-      }
-    } else if (std::strcmp(argv[i], "--trace-file") == 0 && i + 1 < argc) {
-      g_trace_files.emplace_back(argv[++i]);
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--sweep-lanes [N]] [--trace-file PATH]...\n";
+    const auto parsed = parse_u64(env);
+    if (!parsed || *parsed == 0) {
+      std::cerr << "fig4_simulation: PCS_REFS must be a positive integer, "
+                   "got '"
+                << env << "'\n";
       return 2;
     }
+    refs = *parsed;
   }
-  if (g_sweep_lanes > 0) {
-    // Banner on stderr so stdout stays byte-identical to the scalar path.
-    std::cerr << "fig4: lane-parallel sweep engine, " << g_sweep_lanes
-              << " lanes per shard\n";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--trace-file") == 0 && i + 1 < argc) {
+      g_trace_files.emplace_back(argv[++i]);
+    } else {
+      std::cerr << "usage: " << argv[0] << " [--trace-file PATH]...\n";
+      return 2;
+    }
   }
   std::cout << "== FIG4: gem5-style simulation sweep (" << fmt_count(refs)
             << " measured refs per run; set PCS_REFS to change) ==\n";

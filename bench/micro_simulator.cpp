@@ -350,10 +350,10 @@ BENCHMARK(BM_SweepLanesReplay)->Arg(1)->Arg(8)->Arg(16);
 namespace sweep_bench {
 
 /// Miniature Fig. 4 grid (1 config x 2 workloads x 3 policies, 20k refs):
-/// the scalar/lane-parallel pair below runs it through each engine at one
+/// the pair below runs it as a run_one loop and through SweepRunner at one
 /// thread, so their ratio is the single-core speedup of shared trace
-/// decode + fused dispatch (the full-sweep number lives in BENCH_sweep.json
-/// via scripts/run_bench.sh).
+/// decode + fused dispatch (e2e's fig4_sweep workload times the full
+/// sweep).
 ExperimentGrid mini_grid() {
   RunParams rp;
   rp.max_refs = 20'000;
@@ -374,8 +374,12 @@ ExperimentGrid mini_grid() {
 
 void BM_Fig4SweepScalar(benchmark::State& state) {
   const auto grid = sweep_bench::mini_grid();
+  const auto points = grid.expand();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ExperimentRunner(1).run(grid));
+    for (const auto& p : points) {
+      benchmark::DoNotOptimize(run_one(p.config, p.workload, p.policy,
+                                       p.chip_seed, p.trace_seed, p.params));
+    }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<i64>(grid.size()) * 25'000);

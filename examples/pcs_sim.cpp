@@ -78,6 +78,19 @@ struct Options {
   std::exit(2);
 }
 
+/// The argument `arg` of `flag` as a u64; anything else exits 2 naming the
+/// flag and echoing the text.
+u64 flag_u64(const std::string& flag, const char* arg) {
+  const auto v = parse_u64(arg);
+  if (!v) {
+    std::fprintf(stderr,
+                 "pcs_sim: %s must be a non-negative integer, got '%s'\n",
+                 flag.c_str(), arg);
+    std::exit(2);
+  }
+  return *v;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -96,16 +109,16 @@ Options parse(int argc, char** argv) {
       o.job.workload = argv[++i];
     } else if (a == "--refs") {
       need(1);
-      o.job.refs = std::strtoull(argv[++i], nullptr, 10);
+      o.job.refs = flag_u64(a, argv[++i]);
     } else if (a == "--warmup") {
       need(1);
-      o.job.warmup = std::strtoull(argv[++i], nullptr, 10);
+      o.job.warmup = flag_u64(a, argv[++i]);
     } else if (a == "--chip-seed") {
       need(1);
-      o.job.chip_seed = std::strtoull(argv[++i], nullptr, 10);
+      o.job.chip_seed = flag_u64(a, argv[++i]);
     } else if (a == "--trace-seed") {
       need(1);
-      o.job.trace_seed = std::strtoull(argv[++i], nullptr, 10);
+      o.job.trace_seed = flag_u64(a, argv[++i]);
     } else if (a == "--levels") {
       need(1);
       const char* arg = argv[++i];
@@ -123,7 +136,7 @@ Options parse(int argc, char** argv) {
     } else if (a == "--record") {
       need(2);
       o.record_path = argv[++i];
-      o.record_count = std::strtoull(argv[++i], nullptr, 10);
+      o.record_count = flag_u64(a, argv[++i]);
     } else if (a == "--format") {
       need(1);
       const std::string fmt = argv[++i];

@@ -3,14 +3,14 @@
 // and access-time inflation -- then show where the selection procedure
 // places VDD1 (min-VDD) and VDD2 (the SPCS point).
 //
-//   ./build/examples/voltage_explorer [size_kb] [assoc] [--sweep-lanes]
+//   ./build/examples/voltage_explorer [size_kb] [assoc]
 //
-// --sweep-lanes appends a lane-parallel behavioral sweep: one manufactured
-// die, one lane per ladder level (each lane's faulty blocks are the
-// blocks whose fail voltage that level cannot clear), all lanes driven by
-// ONE decode of a synthetic workload through exp/sweep_engine's
-// CacheLaneSweep -- so the miss-rate/capacity cost of each candidate VDD is
-// measured on the same address stream in a single pass.
+// It ends with a lane-parallel behavioral sweep: one manufactured die, one
+// lane per ladder level (each lane's faulty blocks are the blocks whose
+// fail voltage that level cannot clear), all lanes driven by ONE decode of
+// a synthetic workload through exp/sweep_engine's CacheLaneSweep -- so the
+// miss-rate/capacity cost of each candidate VDD is measured on the same
+// address stream in a single pass.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -109,21 +109,18 @@ u64 positional(const char* name, const char* arg, u64 max) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool sweep_lanes = false;
-  std::vector<const char*> pos;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--sweep-lanes") {
-      sweep_lanes = true;
-    } else {
-      pos.push_back(argv[i]);
-    }
+  if (argc > 3) {
+    std::fprintf(stderr,
+                 "voltage_explorer: unexpected argument '%s'\n"
+                 "usage: %s [size_kb] [assoc]\n",
+                 argv[3], argv[0]);
+    return 2;
   }
   const u64 size_kb =
-      pos.size() > 0 ? positional("size_kb", pos[0], u64{1} << 30) : 2048;
-  const u32 assoc = pos.size() > 1
-                        ? static_cast<u32>(
-                              positional("assoc", pos[1], 0xffffffffULL))
-                        : 8;
+      argc > 1 ? positional("size_kb", argv[1], u64{1} << 30) : 2048;
+  const u32 assoc =
+      argc > 2 ? static_cast<u32>(positional("assoc", argv[2], 0xffffffffULL))
+               : 8;
 
   const CacheOrg org{size_kb * 1024, assoc, 64, 31};
   try {
@@ -162,6 +159,6 @@ int main(int argc, char** argv) {
   std::printf("  fault map: %u FM bits + 1 Faulty bit per block\n",
               ladder.fm_bits());
 
-  if (sweep_lanes) sweep_ladder_lanes(org, ber, ladder);
+  sweep_ladder_lanes(org, ber, ladder);
   return 0;
 }

@@ -1,12 +1,6 @@
 #include "exp/experiment_runner.hpp"
 
-#include <chrono>
-
 #include "util/rng.hpp"
-
-// pcs-lint: allow-file(DET001) wall clock is quarantined to the
-// runner_task_profile/runner_profile records; determinism checks strip
-// these record types (TELEMETRY.md), and SimReports never depend on them.
 
 namespace pcs {
 
@@ -115,146 +109,6 @@ std::vector<SimReport> RunAggregator::wait() {
     if (e) std::rethrow_exception(e);
   }
   return std::move(rows_);
-}
-
-ExperimentRunner::ExperimentRunner(u32 num_threads)
-    : num_threads_(num_threads < 1 ? 1 : num_threads) {}
-
-std::vector<SimReport> ExperimentRunner::run(const ExperimentGrid& grid) const {
-  return run(grid.expand(), nullptr, nullptr);
-}
-
-std::vector<SimReport> ExperimentRunner::run(
-    std::vector<ExperimentPoint> points) const {
-  return run(std::move(points), nullptr, nullptr);
-}
-
-std::vector<SimReport> ExperimentRunner::run(const ExperimentGrid& grid,
-                                             TraceSink* trace,
-                                             RunnerStats* stats) const {
-  return run(grid.expand(), trace, stats);
-}
-
-namespace {
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Grid-order task identity, captured before the points are moved into
-/// worker lambdas, for the deterministic `runner_task` records.
-struct TaskDesc {
-  std::string config;
-  std::string workload;
-  const char* policy;
-  u64 chip_seed;
-  u64 trace_seed;
-};
-
-}  // namespace
-
-std::vector<SimReport> ExperimentRunner::run(
-    std::vector<ExperimentPoint> points, TraceSink* trace,
-    RunnerStats* stats) const {
-  const u64 n = points.size();
-  const bool profiling = trace != nullptr || stats != nullptr;
-
-  std::vector<TaskDesc> descs;
-  if (trace) {
-    descs.reserve(n);
-    for (const auto& p : points) {
-      descs.push_back({p.config.name, p.workload, to_string(p.policy),
-                       p.chip_seed, p.trace_seed});
-    }
-  }
-  // Per-task buffers keep concurrent emission race-free and the final file
-  // deterministic: workers write only their own slot, and slots are
-  // replayed in grid order below.
-  std::vector<MemoryTraceSink> task_traces(trace ? n : 0);
-  std::vector<double> task_ms(profiling ? n : 0, 0.0);
-  u64 steals = 0;
-  u64 max_depth = 0;
-
-  std::vector<SimReport> rows;
-  if (num_threads_ == 1) {
-    // Legacy serial path: the reference the parallel path must reproduce.
-    rows.reserve(n);
-    for (const auto& p : points) {
-      const auto t0 = std::chrono::steady_clock::now();
-      rows.push_back(run_one(p.config, p.workload, p.policy, p.chip_seed,
-                             p.trace_seed, p.params,
-                             trace ? &task_traces[p.index] : nullptr));
-      if (profiling) task_ms[p.index] = ms_since(t0);
-    }
-  } else {
-    RunAggregator agg(n);
-    ThreadPool pool(num_threads_);
-    for (auto& p : points) {
-      TraceSink* task_trace = trace ? &task_traces[p.index] : nullptr;
-      double* slot_ms = profiling ? &task_ms[p.index] : nullptr;
-      pool.submit([&agg, task_trace, slot_ms, point = std::move(p)] {
-        try {
-          const auto t0 = std::chrono::steady_clock::now();
-          SimReport rep =
-              run_one(point.config, point.workload, point.policy,
-                      point.chip_seed, point.trace_seed, point.params,
-                      task_trace);
-          // The slot write happens-before agg.wait() returns (the
-          // aggregator's mutex orders it), so the replay below is race-free.
-          if (slot_ms) *slot_ms = ms_since(t0);
-          agg.put(point.index, std::move(rep));
-        } catch (...) {
-          agg.put_error(point.index, std::current_exception());
-        }
-      });
-    }
-    rows = agg.wait();
-    steals = pool.steal_count();
-    max_depth = pool.max_queue_depth();
-  }
-
-  if (trace) {
-    // Deterministic section: grid-order task identity + buffered records.
-    for (u64 i = 0; i < n; ++i) {
-      TraceRecord rec("runner_task");
-      rec.field("task", i)
-          .field("config", descs[i].config)
-          .field("workload", descs[i].workload)
-          .field("policy", descs[i].policy)
-          .field("chip_seed", descs[i].chip_seed)
-          .field("trace_seed", descs[i].trace_seed);
-      trace->emit(rec);
-      task_traces[i].replay_into(*trace);
-    }
-    // Non-deterministic profiling section (wall clock varies run to run);
-    // determinism checks must strip these record types.
-    double total_ms = 0.0;
-    for (u64 i = 0; i < n; ++i) {
-      total_ms += task_ms[i];
-      TraceRecord rec("runner_task_profile");
-      rec.field("task", i).field("wall_ms", task_ms[i]);
-      trace->emit(rec);
-    }
-    TraceRecord rec("runner_profile");
-    rec.field("threads", num_threads_)
-        .field("tasks", n)
-        .field("steals", steals)
-        .field("max_queue_depth", max_depth)
-        .field("wall_ms_total", total_ms);
-    trace->emit(rec);
-  }
-  if (stats) {
-    stats->threads = num_threads_;
-    stats->tasks = n;
-    stats->steals = steals;
-    stats->max_queue_depth = max_depth;
-    stats->wall_ms_total = 0.0;
-    for (const double ms : task_ms) stats->wall_ms_total += ms;
-    stats->task_wall_ms = std::move(task_ms);
-  }
-  return rows;
 }
 
 }  // namespace pcs

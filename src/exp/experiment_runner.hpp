@@ -1,13 +1,13 @@
-// Declarative experiment grids fanned across the thread pool.
+// Declarative experiment grids and the types their scheduler shares.
 //
 // A figure sweep is a cross product {SystemConfig} x {workload} x
 // {PolicyKind} (x replicates for Monte-Carlo trials). ExperimentGrid
-// expands that product into an ordered task list, ExperimentRunner executes
-// it -- inline when one thread is requested (the legacy serial path),
-// across a work-stealing ThreadPool otherwise -- and RunAggregator collects
-// SimReport rows back into grid order regardless of completion order.
-// Seeds are fixed per task before anything runs, so the results are
-// bit-identical at every thread count.
+// expands that product into an ordered task list, SweepRunner
+// (exp/sweep_engine.hpp) executes it, and RunAggregator collects SimReport
+// rows back into grid order regardless of completion order. Seeds are
+// fixed per task before anything runs, so the results are bit-identical at
+// every thread count. The executable specification of one grid point is
+// run_one (core/system.hpp).
 #pragma once
 
 #include <condition_variable>
@@ -100,46 +100,19 @@ class RunAggregator {
   u64 filled_ = 0;
 };
 
-/// Execution statistics for one ExperimentRunner::run call. Observability
-/// only -- collecting them never affects simulation results. The wall-clock
+/// Execution statistics for one SweepRunner::run call. Observability only
+/// -- collecting them never affects simulation results. The wall-clock
 /// fields are non-deterministic (they vary run to run and with the thread
 /// count); they feed exclusively the trace's profiling section
-/// (`runner_task_profile` / `runner_profile` records), which determinism
+/// (`sweep_task_profile` / `sweep_profile` records), which determinism
 /// tests exclude.
 struct RunnerStats {
   u32 threads = 0;             ///< workers the runner used
-  u64 tasks = 0;               ///< grid points executed
+  u64 tasks = 0;               ///< pool tasks executed (one per shard)
   u64 steals = 0;              ///< pool cross-worker steals (0 when serial)
   u64 max_queue_depth = 0;     ///< deepest single worker deque seen
-  double wall_ms_total = 0.0;  ///< sum of per-task wall times (not elapsed)
-  std::vector<double> task_wall_ms;  ///< per grid index
-};
-
-/// Executes expanded grids. One thread = inline serial loop in grid order;
-/// more = ThreadPool fan-out, same results bit-for-bit.
-class ExperimentRunner {
- public:
-  explicit ExperimentRunner(u32 num_threads = pcs_thread_count());
-
-  u32 num_threads() const noexcept { return num_threads_; }
-
-  std::vector<SimReport> run(const ExperimentGrid& grid) const;
-  std::vector<SimReport> run(std::vector<ExperimentPoint> points) const;
-
-  /// As run(), additionally streaming telemetry into `trace` and filling
-  /// `stats` (either may be null). Every task records into its own
-  /// MemoryTraceSink; buffers are replayed into `trace` in grid order after
-  /// the sweep, so the deterministic section of the trace is byte-identical
-  /// at any thread count. The profiling records (wall clock, steals, queue
-  /// depth) are appended after the deterministic section.
-  std::vector<SimReport> run(const ExperimentGrid& grid, TraceSink* trace,
-                             RunnerStats* stats = nullptr) const;
-  std::vector<SimReport> run(std::vector<ExperimentPoint> points,
-                             TraceSink* trace,
-                             RunnerStats* stats = nullptr) const;
-
- private:
-  u32 num_threads_;
+  double wall_ms_total = 0.0;  ///< sum of per-shard wall times (not elapsed)
+  std::vector<double> task_wall_ms;  ///< one entry per shard, shard order
 };
 
 }  // namespace pcs

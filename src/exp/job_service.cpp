@@ -29,6 +29,7 @@
 #include "fault/fault_map.hpp"
 #include "tech/technology.hpp"
 #include "trace/workload_source.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace pcs {
@@ -44,7 +45,7 @@ namespace {
 struct JsonValue {
   enum class Kind { kString, kNumber, kBool };
   Kind kind = Kind::kString;
-  std::string str;
+  std::string str;  ///< a string's value, or a number's token text
   double num = 0.0;
   bool b = false;
 };
@@ -125,12 +126,12 @@ JsonValue parse_json_value(std::string_view s, std::size_t& i) {
     ++i;
   }
   if (i == start) bad_job("job line: expected string, number, or bool");
-  const std::string tok(s.substr(start, i - start));
-  char* end = nullptr;
   v.kind = JsonValue::Kind::kNumber;
-  v.num = std::strtod(tok.c_str(), &end);
+  v.str = s.substr(start, i - start);
+  char* end = nullptr;
+  v.num = std::strtod(v.str.c_str(), &end);
   if (end == nullptr || *end != '\0') {
-    bad_job("job line: malformed number '" + tok + "'");
+    bad_job("job line: malformed number '" + v.str + "'");
   }
   return v;
 }
@@ -194,15 +195,18 @@ std::string jstr(const JsonObj& o, const char* key,
   return v->str;
 }
 
+/// Integer keys read the number's own token, so every u64 is exact; a
+/// sign, fraction, exponent or overflow is rejected.
 u64 jnum(const JsonObj& o, const char* key, u64 fallback) {
   const JsonValue* v = jfind(o, key);
   if (v == nullptr) return fallback;
-  if (v->kind != JsonValue::Kind::kNumber || v->num < 0.0 ||
-      std::floor(v->num) != v->num || v->num > 9.007199254740992e15) {
+  const auto n = v->kind == JsonValue::Kind::kNumber ? parse_u64(v->str)
+                                                      : std::nullopt;
+  if (!n) {
     bad_job(std::string("job key '") + key +
             "': expected a non-negative integer");
   }
-  return static_cast<u64>(v->num);
+  return *n;
 }
 
 /// The `levels` key of sim and trace_replay jobs: nominal plus at least
@@ -290,15 +294,23 @@ std::vector<std::string> split_list(const std::string& s, const char* key) {
 std::vector<u64> parse_u64_list(const std::string& s, const char* key) {
   std::vector<u64> out;
   for (const std::string& item : split_list(s, key)) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(item.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    const auto v = parse_u64(item);
+    if (!v) {
       bad_job(std::string("job key '") + key + "': malformed integer '" +
               item + "'");
     }
-    out.push_back(static_cast<u64>(v));
+    out.push_back(*v);
   }
   return out;
+}
+
+/// An associativity from key `key`: a CacheOrg holds it in a u32.
+u32 to_assoc(u64 assoc, const char* key) {
+  if (assoc == 0 || assoc > 0xffffffffULL) {
+    bad_job(std::string("job key '") + key +
+            "': associativity out of range");
+  }
+  return static_cast<u32>(assoc);
 }
 
 std::vector<double> parse_real_list(const std::string& s, const char* key) {
@@ -352,9 +364,13 @@ Job parse_job_line(const std::string& line) {
     PopulationJobSpec& p = job.population;
     p.id = jstr(o, "id", "");
     p.spec.num_chips = jnum(o, "chips", p.spec.num_chips);
-    p.spec.org.size_bytes = jnum(o, "size_kb", 64) * 1024;
-    p.spec.org.assoc =
-        static_cast<u32>(jnum(o, "assoc", p.spec.org.assoc));
+    const u64 size_kb = jnum(o, "size_kb", 64);
+    if (size_kb > PopulationGridSpec::kMaxSizeKb) {
+      bad_job("job key 'size_kb': " + std::to_string(size_kb) +
+              " KB overflows a 64-bit byte count");
+    }
+    p.spec.org.size_bytes = size_kb * 1024;
+    p.spec.org.assoc = to_assoc(jnum(o, "assoc", p.spec.org.assoc), "assoc");
     p.spec.seed = jnum(o, "seed", p.spec.seed);
     p.spec.chips_per_shard =
         jnum(o, "shard_chips", p.spec.chips_per_shard);
@@ -386,16 +402,9 @@ Job parse_job_line(const std::string& line) {
     b.grid_step = jreal(o, "grid_step", b.grid_step);
     b.spcs_min_capacity = jreal(o, "min_capacity", b.spcs_min_capacity);
     g.spec.sizes_kb = parse_u64_list(jstr(o, "sizes_kb", "64"), "sizes_kb");
-    {
-      const std::vector<u64> assocs =
-          parse_u64_list(jstr(o, "assocs", "4"), "assocs");
-      g.spec.assocs.clear();
-      for (const u64 a : assocs) {
-        if (a == 0 || a > 0xffffffffULL) {
-          bad_job("job key 'assocs': associativity out of range");
-        }
-        g.spec.assocs.push_back(static_cast<u32>(a));
-      }
+    g.spec.assocs.clear();
+    for (const u64 a : parse_u64_list(jstr(o, "assocs", "4"), "assocs")) {
+      g.spec.assocs.push_back(to_assoc(a, "assocs"));
     }
     {
       const std::string sigmas = jstr(o, "sigmas", "");

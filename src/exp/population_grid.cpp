@@ -7,6 +7,7 @@
 #include <ostream>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "exp/sweep_engine.hpp"
 #include "exp/thread_pool.hpp"
@@ -40,6 +41,11 @@ void PopulationGridSpec::validate() const {
     }
   }
   for (const u64 size_kb : sizes_kb) {
+    if (size_kb > kMaxSizeKb) {
+      throw std::invalid_argument(
+          "population grid sizes_kb item " + std::to_string(size_kb) +
+          " KB overflows a 64-bit byte count");
+    }
     for (const u32 assoc : assocs) {
       org_for(size_kb, assoc).validate();
     }

@@ -42,6 +42,9 @@ namespace pcs {
 /// ladder, SPCS target, shard size, block geometry. Axis values are used in
 /// spec order; duplicates are rejected by validate().
 struct PopulationGridSpec {
+  /// Largest cache size, in KB, whose byte count fits a u64.
+  static constexpr u64 kMaxSizeKb = ~u64{0} / 1024;
+
   PopulationSpec base;
 
   std::vector<u64> sizes_kb{64};  ///< cache sizes, KB
@@ -51,8 +54,8 @@ struct PopulationGridSpec {
   std::vector<Volt> sigmas;
 
   /// Throws std::invalid_argument unless every axis is non-empty and
-  /// duplicate-free, sigmas are finite and positive, and every
-  /// (size, assoc) yields a valid CacheOrg.
+  /// duplicate-free, sizes are at most kMaxSizeKb, sigmas are finite and
+  /// positive, and every (size, assoc) yields a valid CacheOrg.
   void validate() const;
 
   /// Points on the sigma axis: `sigmas`, or {fallback_sigma} when empty.

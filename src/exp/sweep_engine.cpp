@@ -5,7 +5,7 @@
 
 // The sweep engine's whole point is inlining the fused per-lane event loop:
 // pull in the template bodies of the cache access paths so step_decoded<K>
-// collapses to straight-line code here. The scalar engine's TUs do NOT
+// collapses to straight-line code here. PcsSystem::run's TU does NOT
 // include these, so its codegen -- the reference the differential suites
 // and the speedup ratio compare against -- is untouched.
 #include "cache/cache_level_inl.hpp"
@@ -229,9 +229,7 @@ std::vector<SimReport> run_shard(const std::vector<ExperimentPoint>& points,
   return reps;
 }
 
-/// Grid-order task identity for the deterministic `runner_task` records
-/// (same layout as the scalar engine's, so traced sweeps produce the same
-/// deterministic section).
+/// Grid-order task identity for the deterministic `runner_task` records.
 struct TaskDesc {
   std::string config;
   std::string workload;
@@ -353,9 +351,9 @@ std::vector<SimReport> SweepRunner::run(std::vector<ExperimentPoint> points,
   }
 
   if (trace) {
-    // Deterministic section: identical record-for-record to the scalar
-    // ExperimentRunner's (same runner_task layout, same per-lane buffered
-    // records, grid order).
+    // Deterministic section: per point in grid order, its runner_task
+    // record followed by its lane's buffered records -- what a run_one loop
+    // writes into per-point sinks.
     for (u64 i = 0; i < n; ++i) {
       TraceRecord rec("runner_task");
       rec.field("task", i)

@@ -1,15 +1,16 @@
-// Lane-parallel multi-configuration sweep engine.
+// Lane-parallel multi-configuration sweep engine: the one scheduler for
+// experiment grids.
 //
 // The figure sweeps are grids of cache configurations evaluated over the
 // SAME synthetic address stream: Fig. 4 replays each workload once per
-// (config x policy) cell, so the scalar ExperimentRunner decodes every
+// (config x policy) cell, so a run_one loop over the grid decodes every
 // trace event #configs times. This engine decodes each event ONCE and
 // replays it into N resident configurations ("lanes"):
 //
 //   * Tier A -- CacheLaneSweep: N bare CacheLevels (one per lane) packed
 //     into a single CacheArena, updated per decoded CacheOp. This is the
 //     unit the randomized differential suite pins against the scalar
-//     CacheLevel, and what examples/voltage_explorer --sweep-lanes drives.
+//     CacheLevel, and what examples/voltage_explorer's ladder sweep drives.
 //
 //   * Tier B -- SweepRunner: full PcsSystems as lanes. Grid points that
 //     share (workload, trace_seed, RunParams) form a GROUP (the synthetic
@@ -18,17 +19,17 @@
 //     shards fan across the deterministic ThreadPool -- lanes within a
 //     task, shards across tasks. Each lane's operation sequence is exactly
 //     the scalar PcsSystem::run() sequence (decoded event -> step ->
-//     controller ticks), so every SimReport is bit-identical to
-//     ExperimentRunner's, at any thread count and any lane count.
+//     controller ticks), so every SimReport is bit-identical to run_one's,
+//     at any thread count and any lane count.
 //
 // Determinism argument (DESIGN.md section 12): lanes never share mutable
 // state -- each owns its hierarchy, controllers, meters, and RNG-derived
 // fault maps; the shared trace generator is read-only broadcast after
 // decode. Shard composition depends only on the grid and max_lanes, never
 // on the thread count, and reports are deposited by grid index. Telemetry
-// follows the experiment-runner discipline: per-lane buffered sinks
-// replayed in grid order (deterministic section byte-identical to the
-// scalar engine's), profiling records appended after (see TELEMETRY.md:
+// is buffered per lane and replayed in grid order, so the deterministic
+// section equals a run_one loop's records framed by `runner_task`;
+// profiling records are appended after (see TELEMETRY.md:
 // sweep_task_profile / sweep_profile).
 #pragma once
 
@@ -109,9 +110,10 @@ struct SweepOptions {
 
 /// Executes expanded experiment grids with shared trace decode.
 ///
-/// Drop-in for ExperimentRunner::run: same inputs, bit-identical
-/// SimReports (asserted by tests/test_sweep_equivalence.cpp and the golden
-/// figure regressions), byte-identical deterministic trace section.
+/// Every SimReport is bit-identical to run_one on the same point (asserted
+/// by tests/test_sweep_equivalence.cpp and the golden figure regressions)
+/// at any thread and lane count, and so is the deterministic trace
+/// section (tests/test_telemetry.cpp).
 class SweepRunner {
  public:
   explicit SweepRunner(const SweepOptions& opt = {});

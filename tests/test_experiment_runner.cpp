@@ -1,5 +1,6 @@
 // Experiment engine: thread pool semantics, seed derivation, and the core
-// guarantee -- parallel sweeps are bit-identical to the serial loop.
+// guarantee -- SweepRunner's parallel sweeps are bit-identical to the
+// serial run_one loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +12,9 @@
 
 #include "core/system.hpp"
 #include "exp/experiment_runner.hpp"
+#include "exp/sweep_engine.hpp"
 #include "exp/thread_pool.hpp"
+#include "run_one_loop.hpp"
 #include "util/rng.hpp"
 
 namespace pcs {
@@ -208,21 +211,19 @@ class DeterminismTest : public ::testing::Test {
 
 TEST_F(DeterminismTest, ParallelRunsBitIdenticalToSerialLoop) {
   const auto grid = small_grid();
+  const auto serial = run_one_loop(grid.expand());
 
-  // Reference: the plain serial loop over the expanded grid.
-  std::vector<SimReport> serial;
-  for (const auto& p : grid.expand()) {
-    serial.push_back(run_one(p.config, p.workload, p.policy, p.chip_seed,
-                             p.trace_seed, p.params));
-  }
-
-  for (u32 threads : {1u, 2u, 8u}) {
-    const auto rows = ExperimentRunner(threads).run(grid);
-    ASSERT_EQ(rows.size(), serial.size()) << threads << " threads";
-    for (u64 i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(rows[i], serial[i])
-          << rows[i].workload << "/" << rows[i].policy << " diverged at "
-          << threads << " threads";
+  // One lane per shard gives the pool six tasks; 16 gives it two groups.
+  for (u32 lanes : {1u, 16u}) {
+    for (u32 threads : {1u, 2u, 8u}) {
+      const auto rows =
+          SweepRunner({.num_threads = threads, .max_lanes = lanes}).run(grid);
+      ASSERT_EQ(rows.size(), serial.size()) << threads << " threads";
+      for (u64 i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i], serial[i])
+            << rows[i].workload << "/" << rows[i].policy << " diverged at "
+            << threads << " threads, " << lanes << " lanes";
+      }
     }
   }
 }
@@ -239,8 +240,10 @@ TEST_F(DeterminismTest, PerTaskSchemeIsAlsoThreadCountInvariant) {
       .replicates(4)
       .seed_scheme(SeedScheme::kPerTask)
       .params(rp);
-  const auto serial = ExperimentRunner(1).run(grid);
-  const auto parallel = ExperimentRunner(8).run(grid);
+  const auto serial =
+      SweepRunner({.num_threads = 1, .max_lanes = 16}).run(grid);
+  const auto parallel =
+      SweepRunner({.num_threads = 8, .max_lanes = 16}).run(grid);
   ASSERT_EQ(serial.size(), 4u);
   EXPECT_EQ(serial, parallel);
   // Different dies: replicate runs must not all be identical.
@@ -256,8 +259,12 @@ TEST_F(DeterminismTest, WorkerExceptionSurfacesAtWait) {
       .add_workload("no-such-workload")  // spec_profile throws
       .add_policy(PolicyKind::kBaseline)
       .params(rp);
-  EXPECT_THROW(ExperimentRunner(4).run(grid), std::invalid_argument);
-  EXPECT_THROW(ExperimentRunner(1).run(grid), std::invalid_argument);
+  // The bad point fails its shard on a pool worker (RunAggregator::put_error
+  // -> wait) or inline on the serial path; either way the caller sees it.
+  EXPECT_THROW(SweepRunner({.num_threads = 4, .max_lanes = 16}).run(grid),
+               std::invalid_argument);
+  EXPECT_THROW(SweepRunner({.num_threads = 1, .max_lanes = 16}).run(grid),
+               std::invalid_argument);
 }
 
 }  // namespace

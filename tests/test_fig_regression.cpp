@@ -1,7 +1,8 @@
 // Golden figure-regression suite: a shrunk Fig. 4 grid (2 configs x 2
-// workloads, 50k refs) run through the parallel experiment engine, with the
+// workloads, 50k refs) run point by point through run_one, with the
 // paper-shape invariants from the fig4 bench header asserted so that figure
 // drift fails CI instead of waiting for someone to eyeball the tables.
+// SweepRunner, which the fig4 bench runs, must reproduce that grid.
 //
 // hmmer (small hot working set, descends deepest) and libquantum (pure
 // streaming) are used because their shapes are the most robust at short
@@ -17,6 +18,7 @@
 #include "exp/sweep_engine.hpp"
 #include "fault/ber_model.hpp"
 #include "fault/cell_fault_field.hpp"
+#include "run_one_loop.hpp"
 #include "util/rng.hpp"
 
 namespace pcs {
@@ -48,8 +50,8 @@ class FigRegression : public ::testing::Test {
  protected:
   // One grid run shared by every assertion in the suite.
   static void SetUpTestSuite() {
-    reports_ = new std::vector<SimReport>(
-        ExperimentRunner().run(golden_grid()));
+    reports_ =
+        new std::vector<SimReport>(run_one_loop(golden_grid().expand()));
     rows_ = new std::vector<FigRow>;
     for (u64 i = 0; i < reports_->size(); i += 3) {
       rows_->push_back(
@@ -141,10 +143,9 @@ TEST_F(FigRegression, ReportsAreInternallyConsistent) {
   }
 }
 
-// The --sweep-lanes path must reproduce the golden grid bit for bit: the
-// fig4 bench routed through SweepRunner is the same figure, so every field
-// of every SimReport (energy breakdowns included) has to match the scalar
-// goldens at 1 thread and at 8.
+// SweepRunner must reproduce the golden grid bit for bit: the fig4 bench
+// runs through it, so every field of every SimReport (energy breakdowns
+// included) has to match the run_one goldens at 1 thread and at 8.
 TEST_F(FigRegression, SweepEngineReproducesGoldenGrid) {
   for (const u32 threads : {1u, 8u}) {
     SweepOptions opt;

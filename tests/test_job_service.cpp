@@ -148,6 +148,74 @@ TEST(ParseJobLine, RejectsMalformedAndOffSchemaLines) {
   }
 }
 
+/// Expects parse_job_line to reject `line` with a message containing `what`.
+void expect_rejected(const std::string& line, const std::string& what) {
+  try {
+    parse_job_line(line);
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << line << " -> " << e.what();
+  }
+}
+
+TEST(ParseJobLine, IntegerKeysAreExactOverTheWholeU64Range) {
+  // 2^53 + 1 once went through a double and ran as seed 2^53.
+  EXPECT_EQ(parse_job_line(R"({"kind": "population",)"
+                           R"( "seed": 9007199254740993})")
+                .population.spec.seed,
+            9'007'199'254'740'993u);
+  // 2^64 - 1 was rejected, although chip_binning takes it as a seed.
+  EXPECT_EQ(parse_job_line(R"({"kind": "population",)"
+                           R"( "seed": 18446744073709551615})")
+                .population.spec.seed,
+            ~u64{0});
+  EXPECT_EQ(parse_job_line(R"({"chip_seed": 18446744073709551615})")
+                .sim.chip_seed,
+            ~u64{0});
+}
+
+TEST(ParseJobLine, IntegerKeysRejectSignsFractionsExponentsAndOverflow) {
+  for (const char* v : {"18446744073709551616", "-1", "-0", "+1", "1.0",
+                        "1e3", "1E3"}) {
+    expect_rejected(
+        std::string(R"({"kind": "population", "seed": )") + v + "}",
+        "job key 'seed': expected a non-negative integer");
+  }
+  // strtod once read this as 1000 dies.
+  expect_rejected(R"({"kind": "population", "chips": 1e3})",
+                  "job key 'chips': expected a non-negative integer");
+}
+
+TEST(ParseJobLine, AssocAboveU32IsRejectedNotTruncated) {
+  // 4294967300 once ran as a 4-way cache.
+  expect_rejected(R"({"kind": "population", "assoc": 4294967300})",
+                  "job key 'assoc': associativity out of range");
+  EXPECT_EQ(parse_job_line(R"({"kind": "population", "assoc": 4294967295})")
+                .population.spec.org.assoc,
+            0xffffffffu);
+}
+
+TEST(ParseJobLine, SizesWhoseByteCountOverflowsAreRejectedNamingTheKey) {
+  // 2^54 + 1 KB once wrapped to a 1 KB cache reported at 100 % yield.
+  expect_rejected(R"({"kind": "population_grid",)"
+                  R"( "sizes_kb": "18014398509481985"})",
+                  "population grid sizes_kb item 18014398509481985 KB "
+                  "overflows a 64-bit byte count");
+  expect_rejected(R"({"kind": "population", "size_kb": 18014398509481985})",
+                  "job key 'size_kb': 18014398509481985 KB overflows a "
+                  "64-bit byte count");
+}
+
+TEST(ParseJobLine, NegativeListItemsAreMalformedNotWrapped) {
+  // "-1" once wrapped through strtoull to 2^64 - 1 and failed with "set
+  // count must be a power of two", naming no key.
+  expect_rejected(R"({"kind": "population_grid", "sizes_kb": "-1"})",
+                  "job key 'sizes_kb': malformed integer '-1'");
+  expect_rejected(R"({"kind": "population_grid", "assocs": "4,-4"})",
+                  "job key 'assocs': malformed integer '-4'");
+}
+
 // ---------------------------------------------------------------------------
 // run_sim_job: thread-count invariance and CSV shape
 

@@ -62,6 +62,9 @@ TEST(PopulationGridSpec, RejectsDegenerateAxes) {
   spec = small_grid(10);
   spec.sizes_kb = {63};  // set count not a power of two
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_grid(10);
+  spec.sizes_kb = {PopulationGridSpec::kMaxSizeKb + 2};  // x1024 wraps to 1 KB
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   EXPECT_NO_THROW(small_grid(10).validate());
 }
 

@@ -10,10 +10,10 @@
 // IS the specification.
 //
 // Tier B: a small Fig. 4-shaped grid executed by SweepRunner at several
-// (thread count x lane count) shapes must reproduce the scalar
-// ExperimentRunner's SimReports exactly (field-wise ==, including the
-// energy breakdowns), pinning the fused step/tick loop, the measurement
-// windowing, and the shard decomposition.
+// (thread count x lane count) shapes must reproduce a run_one loop's
+// SimReports exactly (field-wise ==, including the energy breakdowns),
+// pinning the fused step/tick loop, the measurement windowing, and the
+// shard decomposition.
 #include "exp/sweep_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include "exp/experiment_runner.hpp"
 #include "exp/population_engine.hpp"
 #include "fault/cell_fault_field.hpp"
+#include "run_one_loop.hpp"
 #include "util/rng.hpp"
 
 namespace pcs {
@@ -214,7 +215,7 @@ std::vector<ExperimentPoint> small_grid() {
 
 TEST(SweepSystem, GridReportsMatchScalarRunnerAtAnyShape) {
   const auto points = small_grid();
-  const auto want = ExperimentRunner(1).run(points);
+  const auto want = run_one_loop(points);
   ASSERT_EQ(want.size(), points.size());
 
   for (const u32 lanes : {1u, 4u, 16u}) {
@@ -236,8 +237,8 @@ TEST(SweepSystem, GridReportsMatchScalarRunnerAtAnyShape) {
 
 TEST(SweepSystem, PerTaskSeedsDegradeToSingleLaneGroups) {
   // Monte-Carlo style grids give every point its own trace seed; each group
-  // then holds one lane and the sweep engine must still match the scalar
-  // runner exactly.
+  // then holds one lane and the sweep engine must still match run_one
+  // exactly.
   RunParams rp;
   rp.max_refs = 10'000;
   rp.warmup_refs = 2'500;
@@ -250,7 +251,7 @@ TEST(SweepSystem, PerTaskSeedsDegradeToSingleLaneGroups) {
       .seeds(1, 42)
       .params(rp);
   const auto points = grid.expand();
-  const auto want = ExperimentRunner(1).run(points);
+  const auto want = run_one_loop(points);
   SweepOptions opt;
   opt.num_threads = 2;
   opt.max_lanes = 8;

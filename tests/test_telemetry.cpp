@@ -15,6 +15,8 @@
 #include "core/config.hpp"
 #include "core/system.hpp"
 #include "exp/experiment_runner.hpp"
+#include "exp/sweep_engine.hpp"
+#include "run_one_loop.hpp"
 #include "telemetry/trace_sink.hpp"
 
 namespace pcs {
@@ -151,9 +153,10 @@ const std::map<std::string, std::vector<std::string>>& documented_schema() {
         "ipc", "mem_reads", "mem_writes"}},
       {"runner_task",
        {"task", "config", "workload", "policy", "chip_seed", "trace_seed"}},
-      {"runner_task_profile", {"task", "wall_ms"}},
-      {"runner_profile",
-       {"threads", "tasks", "steals", "max_queue_depth", "wall_ms_total"}},
+      {"sweep_task_profile", {"task", "lanes", "wall_ms"}},
+      {"sweep_profile",
+       {"threads", "shards", "max_lanes", "steals", "max_queue_depth",
+        "wall_ms_total"}},
       {"population_shard", {"shard", "first_chip", "chips", "unusable"}},
       {"population_grid_point",
        {"point", "size_kb", "assoc", "sigma", "chips", "unusable",
@@ -210,7 +213,8 @@ TEST(TelemetrySchema, RunnerRecordsMatchDocumentedFields) {
       .params(rp);
   MemoryTraceSink sink;
   RunnerStats stats;
-  ExperimentRunner(2).run(grid, &sink, &stats);
+  // One lane per shard: the two points run as two pool tasks.
+  SweepRunner({.num_threads = 2, .max_lanes = 1}).run(grid, &sink, &stats);
 
   const auto& schema = documented_schema();
   std::map<std::string, u64> seen;
@@ -221,9 +225,9 @@ TEST(TelemetrySchema, RunnerRecordsMatchDocumentedFields) {
         << "field mismatch in record type " << rec.type();
     ++seen[rec.type()];
   }
-  EXPECT_EQ(seen["runner_task"], 2u);
-  EXPECT_EQ(seen["runner_task_profile"], 2u);
-  EXPECT_EQ(seen["runner_profile"], 1u);
+  EXPECT_EQ(seen["runner_task"], 2u);         // one per grid point
+  EXPECT_EQ(seen["sweep_task_profile"], 2u);  // one per shard
+  EXPECT_EQ(seen["sweep_profile"], 1u);
   EXPECT_EQ(stats.tasks, 2u);
   EXPECT_EQ(stats.threads, 2u);
   EXPECT_EQ(stats.task_wall_ms.size(), 2u);
@@ -231,9 +235,10 @@ TEST(TelemetrySchema, RunnerRecordsMatchDocumentedFields) {
 
 // ---------------------------------------------------------------------------
 // Determinism: the deterministic trace sections must be byte-identical at
-// 1 vs 8 threads for the same seeds (acceptance criterion).
+// 1 vs 8 threads for the same seeds (acceptance criterion), and equal to
+// the run_one loop's records framed by runner_task.
 
-std::string deterministic_jsonl(u32 threads) {
+ExperimentGrid determinism_grid() {
   RunParams rp;
   rp.max_refs = 30'000;
   rp.warmup_refs = 7'500;
@@ -245,19 +250,24 @@ std::string deterministic_jsonl(u32 threads) {
       .add_policy(PolicyKind::kDynamic)
       .seeds(1, 42)
       .params(rp);
+  return grid;
+}
+
+std::string deterministic_jsonl(u32 threads, u32 max_lanes = 16) {
   std::ostringstream out;
   {
     JsonlTraceSink sink(out);
     emit_trace_header(sink);
-    ExperimentRunner(threads).run(grid, &sink);
+    SweepRunner({.num_threads = threads, .max_lanes = max_lanes})
+        .run(determinism_grid(), &sink);
   }
   // Strip the documented non-deterministic profiling section (wall-clock
   // fields vary run to run); everything else must be byte-stable.
   std::istringstream in(out.str());
   std::string line, kept;
   while (std::getline(in, line)) {
-    if (line.find("\"type\":\"runner_task_profile\"") != std::string::npos ||
-        line.find("\"type\":\"runner_profile\"") != std::string::npos) {
+    if (line.find("\"type\":\"sweep_task_profile\"") != std::string::npos ||
+        line.find("\"type\":\"sweep_profile\"") != std::string::npos) {
       continue;
     }
     kept += line;
@@ -271,6 +281,23 @@ TEST(TelemetryDeterminism, TraceBytesIdenticalAcrossThreadCounts) {
   const std::string parallel = deterministic_jsonl(8);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
+}
+
+TEST(TelemetryDeterminism, SweepTraceEqualsRunOneLoopTrace) {
+  std::ostringstream out;
+  {
+    JsonlTraceSink sink(out);
+    emit_trace_header(sink);
+    run_one_loop(determinism_grid().expand(), &sink);
+  }
+  const std::string want = out.str();
+  EXPECT_NE(want.find("\"type\":\"transition\""), std::string::npos);
+  for (const u32 lanes : {1u, 16u}) {
+    for (const u32 threads : {1u, 4u}) {
+      EXPECT_EQ(deterministic_jsonl(threads, lanes), want)
+          << lanes << " lanes, " << threads << " threads";
+    }
+  }
 }
 
 TEST(TelemetryDeterminism, TracingDoesNotPerturbSimulationResults) {
