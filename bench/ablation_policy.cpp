@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "core/system.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/spec_profiles.hpp"
@@ -47,7 +48,7 @@ Outcome run(const SystemConfig& cfg, const char* wl, u64 refs,
 int main() {
   u64 refs = 600'000;
   if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10) / 2;
+    refs = cli_u64("ablation_policy", "PCS_REFS", env, 1) / 2;
   }
   const char* workloads[] = {"hmmer", "gcc"};
 

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "core/system.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/spec_profiles.hpp"
 
@@ -54,7 +55,7 @@ Outcome run(double floor, const char* wl, u64 refs) {
 int main() {
   u64 refs = 500'000;
   if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10) / 4;
+    refs = cli_u64("ablation_vdd1floor", "PCS_REFS", env, 1) / 4;
   }
 
   std::cout << "== ABL-VDD1: capacity floor at VDD1 vs DPCS savings and "

@@ -16,6 +16,7 @@
 
 #include "exp/thread_pool.hpp"
 #include "multicore/multi_system.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/spec_profiles.hpp"
 
@@ -57,7 +58,7 @@ MultiSimReport run(u32 cores, PolicyKind kind, double shared_frac, u64 refs) {
 int main() {
   u64 refs = 400'000;  // per core
   if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10) / 4;
+    refs = cli_u64("ext_multicore", "PCS_REFS", env, 1) / 4;
   }
 
   std::cout << "== EXT-MC: multi-core PCS on Config A (mix: hmmer/gcc/"

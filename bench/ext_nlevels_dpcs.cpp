@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "core/system.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/spec_profiles.hpp"
 
@@ -51,7 +52,7 @@ Outcome run(u32 levels, const char* wl, u64 refs) {
 int main() {
   u64 refs = 600'000;
   if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10) / 3;
+    refs = cli_u64("ext_nlevels_dpcs", "PCS_REFS", env, 1) / 3;
   }
 
   std::cout << "== EXT-N: DPCS over deeper VDD ladders (Config A) ==\n\n";

@@ -11,6 +11,7 @@
 
 #include "core/system.hpp"
 #include "core/system_energy.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/spec_profiles.hpp"
@@ -34,7 +35,7 @@ SimReport run(PolicyKind kind, const char* wl, u64 refs) {
 int main() {
   u64 refs = 800'000;
   if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10) / 2;
+    refs = cli_u64("ext_system_energy", "PCS_REFS", env, 1) / 2;
   }
   const SystemEnergyModel model({}, SystemConfig::config_a().clock_ghz * 1e9);
 

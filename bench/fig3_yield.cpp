@@ -32,14 +32,7 @@ int main(int argc, char** argv) {
   }
   u64 trials = 2000;
   if (const char* env = std::getenv("PCS_TRIALS")) {
-    const auto parsed = parse_u64(env);
-    if (!parsed) {
-      std::cerr << "fig3_yield: PCS_TRIALS must be a non-negative integer, "
-                   "got '"
-                << env << "'\n";
-      return 2;
-    }
-    trials = *parsed;
+    trials = cli_u64("fig3_yield", "PCS_TRIALS", env);
   }
   const auto tech = Technology::soi45();
   const CacheOrg org{64 * 1024, 4, 64, 31};

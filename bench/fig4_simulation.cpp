@@ -183,14 +183,7 @@ int main(int argc, char** argv) {
   // within the measured window; PCS_REFS trades fidelity for wall clock.
   u64 refs = 2'000'000;
   if (const char* env = std::getenv("PCS_REFS")) {
-    const auto parsed = parse_u64(env);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "fig4_simulation: PCS_REFS must be a positive integer, "
-                   "got '"
-                << env << "'\n";
-      return 2;
-    }
-    refs = *parsed;
+    refs = cli_u64("fig4_simulation", "PCS_REFS", env, 1);
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-file") == 0 && i + 1 < argc) {

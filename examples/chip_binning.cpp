@@ -30,8 +30,13 @@
 #include "exp/job_service.hpp"
 #include "exp/thread_pool.hpp"
 #include "telemetry/trace_sink.hpp"
+#include "util/parse.hpp"
 
 using namespace pcs;
+
+namespace {
+constexpr const char* kProg = "chip_binning";
+}  // namespace
 
 int main(int argc, char** argv) {
   PopulationJobSpec job;
@@ -42,25 +47,26 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--checkpoint") == 0 && i + 1 < argc) {
       job.checkpoint = argv[++i];
     } else if (std::strcmp(arg, "--checkpoint-shards") == 0 && i + 1 < argc) {
-      job.checkpoint_shards = std::strtoull(argv[++i], nullptr, 10);
+      job.checkpoint_shards = cli_u64(kProg, arg, argv[++i]);
     } else if (std::strcmp(arg, "--resume") == 0) {
       job.resume = true;
     } else if (std::strcmp(arg, "--checkpoint-stop-after") == 0 &&
                i + 1 < argc) {
-      stop_after = std::strtoull(argv[++i], nullptr, 10);
+      stop_after = cli_u64(kProg, arg, argv[++i]);
     } else {
       switch (++pos) {
-        case 1: job.spec.num_chips = std::strtoull(arg, nullptr, 10); break;
+        case 1: job.spec.num_chips = cli_u64(kProg, "num_chips", arg); break;
         case 2:
-          job.spec.org.size_bytes = std::strtoull(arg, nullptr, 10) * 1024;
+          job.spec.org.size_bytes =
+              cli_u64(kProg, "size_kb", arg, 0, ~u64{0} / 1024) * 1024;
           break;
         case 3:
           job.spec.org.assoc =
-              static_cast<u32>(std::strtoul(arg, nullptr, 10));
+              static_cast<u32>(cli_u64(kProg, "assoc", arg, 0, 0xffffffffu));
           break;
-        case 4: job.spec.seed = std::strtoull(arg, nullptr, 10); break;
+        case 4: job.spec.seed = cli_u64(kProg, "seed", arg); break;
         case 5:
-          job.spec.chips_per_shard = std::strtoull(arg, nullptr, 10);
+          job.spec.chips_per_shard = cli_u64(kProg, "shard_chips", arg);
           break;
         case 6: {
           char* end = nullptr;

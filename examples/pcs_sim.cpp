@@ -59,6 +59,8 @@ using namespace pcs;
 
 namespace {
 
+constexpr const char* kProg = "pcs_sim";
+
 struct Options {
   SimJobSpec job;
   std::string record_path;
@@ -76,19 +78,6 @@ struct Options {
                "          [--trace PATH] [--serve JOBFILE]\n",
                argv0);
   std::exit(2);
-}
-
-/// The argument `arg` of `flag` as a u64; anything else exits 2 naming the
-/// flag and echoing the text.
-u64 flag_u64(const std::string& flag, const char* arg) {
-  const auto v = parse_u64(arg);
-  if (!v) {
-    std::fprintf(stderr,
-                 "pcs_sim: %s must be a non-negative integer, got '%s'\n",
-                 flag.c_str(), arg);
-    std::exit(2);
-  }
-  return *v;
 }
 
 Options parse(int argc, char** argv) {
@@ -109,34 +98,26 @@ Options parse(int argc, char** argv) {
       o.job.workload = argv[++i];
     } else if (a == "--refs") {
       need(1);
-      o.job.refs = flag_u64(a, argv[++i]);
+      o.job.refs = cli_u64(kProg, a.c_str(), argv[++i]);
     } else if (a == "--warmup") {
       need(1);
-      o.job.warmup = flag_u64(a, argv[++i]);
+      o.job.warmup = cli_u64(kProg, a.c_str(), argv[++i]);
     } else if (a == "--chip-seed") {
       need(1);
-      o.job.chip_seed = flag_u64(a, argv[++i]);
+      o.job.chip_seed = cli_u64(kProg, a.c_str(), argv[++i]);
     } else if (a == "--trace-seed") {
       need(1);
-      o.job.trace_seed = flag_u64(a, argv[++i]);
+      o.job.trace_seed = cli_u64(kProg, a.c_str(), argv[++i]);
     } else if (a == "--levels") {
       need(1);
-      const char* arg = argv[++i];
-      const auto levels = parse_u64(arg);
-      if (!levels || *levels < 2 || *levels > FaultMap::kMaxLevels) {
-        std::fprintf(stderr,
-                     "pcs_sim: --levels must be an integer in [2, %u], "
-                     "got '%s'\n",
-                     FaultMap::kMaxLevels, arg);
-        std::exit(2);
-      }
-      o.job.levels = static_cast<u32>(*levels);
+      o.job.levels = static_cast<u32>(
+          cli_u64(kProg, "--levels", argv[++i], 2, FaultMap::kMaxLevels));
     } else if (a == "--csv") {
       o.job.csv = true;
     } else if (a == "--record") {
       need(2);
       o.record_path = argv[++i];
-      o.record_count = flag_u64(a, argv[++i]);
+      o.record_count = cli_u64(kProg, a.c_str(), argv[++i]);
     } else if (a == "--format") {
       need(1);
       const std::string fmt = argv[++i];

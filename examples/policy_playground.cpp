@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "core/system.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/synthetic.hpp"
 
@@ -16,10 +17,13 @@ using namespace pcs;
 
 int main(int argc, char** argv) {
   SystemConfig cfg = SystemConfig::config_a();
-  if (argc > 1) cfg.l2.dpcs_interval = std::strtoull(argv[1], nullptr, 10);
-  if (argc > 2)
-    cfg.l2.super_interval =
-        static_cast<u32>(std::strtoul(argv[2], nullptr, 10));
+  if (argc > 1) {
+    cfg.l2.dpcs_interval = cli_u64("policy_playground", "interval", argv[1]);
+  }
+  if (argc > 2) {
+    cfg.l2.super_interval = static_cast<u32>(cli_u64(
+        "policy_playground", "super_interval", argv[2], 0, 0xffffffffu));
+  }
 
   // Two-phase workload: a small working set that fits the 2 MB L2 easily,
   // then a 6 MB phase that thrashes it.

@@ -28,27 +28,31 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/job_service.hpp"
 #include "exp/thread_pool.hpp"
 #include "telemetry/trace_sink.hpp"
+#include "util/parse.hpp"
 
 using namespace pcs;
 
 namespace {
 
-std::vector<u64> parse_u64_csv(const char* s) {
+constexpr const char* kProg = "population_grid";
+
+/// `s`, the value of `flag`, as a comma-separated list of integers of at
+/// most `hi`; a malformed item, an empty one too, exits 2 naming the flag.
+std::vector<u64> parse_u64_csv(const char* flag, const char* s, u64 hi) {
   std::vector<u64> out;
-  char* cursor = nullptr;
-  for (const char* tok = s; *tok != '\0';
-       tok = *cursor == ',' ? cursor + 1 : cursor) {
-    out.push_back(std::strtoull(tok, &cursor, 10));
-    if (cursor == tok || (*cursor != ',' && *cursor != '\0')) {
-      throw std::invalid_argument(std::string("malformed list '") + s + "'");
-    }
+  for (std::string_view rest = s;;) {
+    const std::size_t comma = rest.find(',');
+    const std::string item(rest.substr(0, comma));
+    out.push_back(cli_u64(kProg, flag, item.c_str(), 0, hi));
+    if (comma == std::string_view::npos) return out;
+    rest.remove_prefix(comma + 1);
   }
-  return out;
 }
 
 std::vector<double> parse_real_csv(const char* s) {
@@ -77,10 +81,10 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
       if (std::strcmp(arg, "--sizes") == 0 && i + 1 < argc) {
-        spec.sizes_kb = parse_u64_csv(argv[++i]);
+        spec.sizes_kb = parse_u64_csv(arg, argv[++i], ~u64{0});
       } else if (std::strcmp(arg, "--assocs") == 0 && i + 1 < argc) {
         spec.assocs.clear();
-        for (const u64 a : parse_u64_csv(argv[++i])) {
+        for (const u64 a : parse_u64_csv(arg, argv[++i], 0xffffffffu)) {
           spec.assocs.push_back(static_cast<u32>(a));
         }
       } else if (std::strcmp(arg, "--sigmas") == 0 && i + 1 < argc) {
@@ -91,20 +95,18 @@ int main(int argc, char** argv) {
         checkpoint = argv[++i];
       } else if (std::strcmp(arg, "--checkpoint-shards") == 0 &&
                  i + 1 < argc) {
-        checkpoint_shards = std::strtoull(argv[++i], nullptr, 10);
+        checkpoint_shards = cli_u64(kProg, arg, argv[++i]);
       } else if (std::strcmp(arg, "--resume") == 0) {
         resume = true;
       } else if (std::strcmp(arg, "--checkpoint-stop-after") == 0 &&
                  i + 1 < argc) {
-        stop_after = std::strtoull(argv[++i], nullptr, 10);
+        stop_after = cli_u64(kProg, arg, argv[++i]);
       } else {
         switch (++pos) {
-          case 1:
-            spec.base.num_chips = std::strtoull(arg, nullptr, 10);
-            break;
-          case 2: spec.base.seed = std::strtoull(arg, nullptr, 10); break;
+          case 1: spec.base.num_chips = cli_u64(kProg, "num_chips", arg); break;
+          case 2: spec.base.seed = cli_u64(kProg, "seed", arg); break;
           case 3:
-            spec.base.chips_per_shard = std::strtoull(arg, nullptr, 10);
+            spec.base.chips_per_shard = cli_u64(kProg, "shard_chips", arg);
             break;
           default:
             std::fprintf(stderr,

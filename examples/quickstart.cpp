@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/system.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/spec_profiles.hpp"
 
@@ -18,7 +19,8 @@ using namespace pcs;
 
 int main(int argc, char** argv) {
   const std::string workload = argc > 1 ? argv[1] : "hmmer";
-  const u64 refs = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1'000'000;
+  const u64 refs =
+      argc > 2 ? cli_u64("quickstart", "refs", argv[2], 1) : 1'000'000;
 
   const SystemConfig cfg = SystemConfig::config_a();
   RunParams rp;

@@ -34,6 +34,8 @@ using namespace pcs;
 
 namespace {
 
+constexpr const char* kProg = "voltage_explorer";
+
 /// Per-ladder-level lane sweep: measures each candidate VDD's demand miss
 /// rate and surviving capacity against one die and one address stream.
 void sweep_ladder_lanes(const CacheOrg& org, const BerModel& ber,
@@ -92,20 +94,6 @@ void sweep_ladder_lanes(const CacheOrg& org, const BerModel& ber,
   t.print(std::cout);
 }
 
-/// Positional argument `arg` as an integer in [1, max]; anything else
-/// exits 2 naming the argument.
-u64 positional(const char* name, const char* arg, u64 max) {
-  const auto v = parse_u64(arg);
-  if (!v || *v == 0 || *v > max) {
-    std::fprintf(stderr,
-                 "voltage_explorer: %s must be an integer in [1, %llu], "
-                 "got '%s'\n",
-                 name, static_cast<unsigned long long>(max), arg);
-    std::exit(2);
-  }
-  return *v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,9 +105,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const u64 size_kb =
-      argc > 1 ? positional("size_kb", argv[1], u64{1} << 30) : 2048;
+      argc > 1 ? cli_u64(kProg, "size_kb", argv[1], 1, u64{1} << 30) : 2048;
   const u32 assoc =
-      argc > 2 ? static_cast<u32>(positional("assoc", argv[2], 0xffffffffULL))
+      argc > 2 ? static_cast<u32>(
+                     cli_u64(kProg, "assoc", argv[2], 1, 0xffffffffULL))
                : 8;
 
   const CacheOrg org{size_kb * 1024, assoc, 64, 31};

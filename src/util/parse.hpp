@@ -3,6 +3,8 @@
 #pragma once
 
 #include <charconv>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string_view>
 #include <system_error>
@@ -22,6 +24,25 @@ inline std::optional<u64> parse_u64(std::string_view text) {
     return std::nullopt;
   }
   return value;
+}
+
+/// For command-line front ends: `text`, the value of the argument or
+/// environment variable `what`, as an integer in [lo, hi]. Anything else
+/// prints `PROG: WHAT must be <the range>, got 'TEXT'` and exits 2.
+inline u64 cli_u64(const char* prog, const char* what, const char* text,
+                   u64 lo = 0, u64 hi = ~u64{0}) {
+  const auto v = parse_u64(text);
+  if (v && *v >= lo && *v <= hi) return *v;
+  if (hi == ~u64{0} && lo <= 1) {
+    std::fprintf(stderr, "%s: %s must be a %s integer, got '%s'\n", prog,
+                 what, lo == 0 ? "non-negative" : "positive", text);
+  } else {
+    std::fprintf(stderr,
+                 "%s: %s must be an integer in [%llu, %llu], got '%s'\n", prog,
+                 what, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text);
+  }
+  std::exit(2);
 }
 
 }  // namespace pcs
