@@ -22,6 +22,7 @@
 // column.
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -196,8 +197,13 @@ int main(int argc, char** argv) {
   std::cout << "== FIG4: gem5-style simulation sweep (" << fmt_count(refs)
             << " measured refs per run; set PCS_REFS to change) ==\n";
 
-  const auto rows = run_grid(refs);
-  report_config(SystemConfig::config_a(), rows[0]);
-  report_config(SystemConfig::config_b(), rows[1]);
+  try {
+    const auto rows = run_grid(refs);
+    report_config(SystemConfig::config_a(), rows[0]);
+    report_config(SystemConfig::config_b(), rows[1]);
+  } catch (const std::exception& e) {
+    std::cerr << "fig4_simulation: " << e.what() << "\n";
+    return 2;
+  }
   return 0;
 }

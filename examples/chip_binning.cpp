@@ -87,12 +87,12 @@ int main(int argc, char** argv) {
   }
   if (pos < 1) job.spec.num_chips = 500;
 
-  std::unique_ptr<TraceSink> sink;
-  if (const char* env = std::getenv("PCS_TRACE")) {
-    sink = make_trace_sink(env);
-    emit_trace_header(*sink);
-  }
   try {
+    std::unique_ptr<TraceSink> sink;
+    if (const char* env = std::getenv("PCS_TRACE")) {
+      sink = make_trace_sink(env);
+      emit_trace_header(*sink);
+    }
     if (stop_after > 0) {
       // Test hook: run the engine directly so the on_checkpoint callback
       // can tear the process down mid-run (the normal path below is the

@@ -90,6 +90,11 @@ Options parse(int argc, char** argv) {
     if (a == "--config") {
       need(1);
       o.job.config = argv[++i];
+      if (o.job.config != "A" && o.job.config != "B") {
+        std::fprintf(stderr, "%s: --config must be \"A\" or \"B\", got '%s'\n",
+                     kProg, argv[i]);
+        std::exit(2);
+      }
     } else if (a == "--policy") {
       need(1);
       o.job.policy = argv[++i];
@@ -171,28 +176,28 @@ int main(int argc, char** argv) {
 
   if (!o.serve_path.empty()) return serve(o.serve_path);
 
-  if (!o.record_path.empty()) {
-    auto trace = make_workload_source(o.job.workload, o.job.trace_seed);
-    const u64 n =
-        record_trace(*trace, o.record_path, o.record_count, o.record_format);
-    std::printf("recorded %llu events of '%s' into %s\n",
-                static_cast<unsigned long long>(n), trace->name(),
-                o.record_path.c_str());
-    return 0;
-  }
-
-  // Same run + render path as a service-mode "sim" job, which is what makes
-  // a job's output file byte-identical to this standalone run.
-  std::unique_ptr<TraceSink> sink;
-  if (!o.job.trace_path.empty()) {
-    sink = make_trace_sink(o.job.trace_path);
-    emit_trace_header(*sink);
-  }
   try {
+    if (!o.record_path.empty()) {
+      auto trace = make_workload_source(o.job.workload, o.job.trace_seed);
+      const u64 n =
+          record_trace(*trace, o.record_path, o.record_count, o.record_format);
+      std::printf("recorded %llu events of '%s' into %s\n",
+                  static_cast<unsigned long long>(n), trace->name(),
+                  o.record_path.c_str());
+      return 0;
+    }
+
+    // Same run + render path as a service-mode "sim" job, which is what
+    // makes a job's output file byte-identical to this standalone run.
+    std::unique_ptr<TraceSink> sink;
+    if (!o.job.trace_path.empty()) {
+      sink = make_trace_sink(o.job.trace_path);
+      emit_trace_header(*sink);
+    }
     run_sim_job(o.job, std::cout, pcs_thread_count(), sink.get());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pcs_sim: %s\n", e.what());
-    usage(argv[0]);
+    return 2;
   }
   return 0;
 }

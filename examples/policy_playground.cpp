@@ -21,8 +21,9 @@ int main(int argc, char** argv) {
     cfg.l2.dpcs_interval = cli_u64("policy_playground", "interval", argv[1]);
   }
   if (argc > 2) {
+    // DPCS needs a warm-up, a NAAT and a park interval per SuperInterval.
     cfg.l2.super_interval = static_cast<u32>(cli_u64(
-        "policy_playground", "super_interval", argv[2], 0, 0xffffffffu));
+        "policy_playground", "super_interval", argv[2], 3, 0xffffffffu));
   }
 
   // Two-phase workload: a small working set that fits the 2 MB L2 easily,

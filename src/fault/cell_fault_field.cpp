@@ -58,10 +58,7 @@ CellFaultField CellFaultField::sample_exact_reference(const BerModel& ber,
   for (u64 b = 0; b < num_blocks; ++b) {
     double max_vf = -1e9;
     for (u32 i = 0; i < bits_per_block; ++i) {
-      max_vf = std::max(
-          max_vf,
-          // pcs-lint: allow(DET005) reference impl: scalar draws are the spec
-          rng.gaussian(ber.mu(), ber.sigma()));
+      max_vf = std::max(max_vf, rng.gaussian(ber.mu(), ber.sigma()));
     }
     vf[b] = static_cast<float>(max_vf);
   }
@@ -75,7 +72,6 @@ CellFaultField CellFaultField::sample_fast_reference(const BerModel& ber,
   std::vector<float> vf(num_blocks);
   const double n = static_cast<double>(bits_per_block);
   for (u64 b = 0; b < num_blocks; ++b) {
-    // pcs-lint: allow(DET005) reference impl: scalar draws are the spec
     double u = rng.uniform();
     if (u <= 0.0) u = 1e-300;
     const double p = -std::expm1(std::log(u) / n);

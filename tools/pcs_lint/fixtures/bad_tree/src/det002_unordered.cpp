@@ -1,4 +1,4 @@
-// DET002 true positives: hash-order iteration in a serializing file.
+// DET002 true positives: hash-order iteration.
 #include <cstdio>
 #include <unordered_map>
 #include <unordered_set>

@@ -1,5 +1,5 @@
-// DET006 true positives: scheduler/ASLR-dependent identity values that
-// reach serialized output.
+// DET006 true positives: scheduler/ASLR-dependent identity values, each
+// reported where it is produced.
 #include <cstdint>
 #include <cstdio>
 #include <thread>

@@ -1,6 +1,6 @@
-// Flow true positives: nothing here serializes, but every helper feeds
-// write_summary_line() (src/flow/writer.cpp) through the call graph, so
-// its nondeterminism lands in the report bytes.
+// DET001/DET002/DET004 true positives in helpers that never print: each
+// rule fires at the site itself, whether or not a caller carries the value
+// into output (here write_summary_line would).
 #include <atomic>
 #include <chrono>
 #include <unordered_map>

@@ -1,5 +1,5 @@
-// DET006/DET002 clean flow case: thread ids and hash-order iteration are
-// fine when no call path carries their values into serialized output.
+// DET006/DET002 true positives with no path to output: thread ids and
+// hash-order iteration are reported wherever they appear.
 #include <cstddef>
 #include <thread>
 #include <unordered_map>

@@ -1,6 +1,6 @@
-// PcstWriter is a serializing sink marker: bytes appended to a .pcst
-// container are byte-compared replay input, so a wall-clock value stamped
-// into the stream is a flow true positive with no printf in sight.
+// DET001 true positive in a recorder: a wall-clock value stamped into a
+// .pcst stream would make byte-compared replay input differ per run. The
+// rule fires at the clock read, with no printf in sight.
 #include <chrono>
 
 class PcstWriter;

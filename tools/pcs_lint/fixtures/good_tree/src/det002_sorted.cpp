@@ -1,5 +1,5 @@
-// DET002 clean case: a serializing file drains the unordered map through a
-// sorted key vector, so output order is content-determined, not hash-order.
+// DET002 clean case: the unordered map is drained through a sorted key
+// vector, so output order is content-determined, not hash-order.
 #include <algorithm>
 #include <cstdio>
 #include <unordered_map>

@@ -1,36 +1,20 @@
-// Pass-2 whole-tree checks that only make sense over the finalized symbol
-// index: INV002 (spec fields vs. the canonical fingerprint string) and
-// BUDGET001 (the committed suppression budget as an exact ratchet).
+// The whole-tree checks: INV002 (spec fields vs. the canonical fingerprint
+// strings, over the index) and BUDGET001 (the committed suppression budget
+// as an exact ratchet).
 
 #include <sstream>
 
 #include "lint.hpp"
 
 namespace pcs_lint {
-namespace {
-
-// Spec struct -> canonical fingerprint function, mirrored from index.cpp's
-// capture list. The pair is the INV002 contract: every field of the struct
-// must be mentioned by the function, or a stale checkpoint can resume under
-// a silently-changed spec.
-struct FingerprintContract {
-  const char* struct_name;
-  const char* canonical_fn;
-};
-constexpr FingerprintContract kFingerprintContracts[] = {
-    {"PopulationSpec", "population_canonical"},
-    {"PopulationGridSpec", "grid_canonical"},
-};
-
-}  // namespace
 
 void check_fingerprints(const SymbolIndex& index,
                         std::vector<Diagnostic>& diags) {
   for (const auto& contract : kFingerprintContracts) {
     const auto fields_it = index.struct_fields.find(contract.struct_name);
     if (fields_it == index.struct_fields.end()) continue;  // struct unseen
-    const auto idents_it = index.fingerprint_idents.find(contract.canonical_fn);
-    if (idents_it == index.fingerprint_idents.end()) {
+    const auto fn_it = index.fingerprint_fns.find(contract.canonical_fn);
+    if (fn_it == index.fingerprint_fns.end()) {
       // The struct exists but its fingerprint function was never indexed:
       // that is itself a contract break when the struct has fields.
       if (!fields_it->second.empty()) {
@@ -44,19 +28,14 @@ void check_fingerprints(const SymbolIndex& index,
       }
       continue;
     }
-    const std::set<std::string>& idents = idents_it->second;
+    const FingerprintFn& fn = fn_it->second;
     for (const IndexedField& field : fields_it->second) {
-      if (idents.count(field.name) != 0) continue;
+      if (fn.idents.count(field.name) != 0) continue;
       std::ostringstream msg;
       msg << "field '" << field.name << "' of " << contract.struct_name
-          << " does not appear in " << contract.canonical_fn << "() (";
-      const auto site = index.fingerprint_sites.find(contract.canonical_fn);
-      if (site != index.fingerprint_sites.end()) {
-        msg << site->second.file << ":" << site->second.line;
-      } else {
-        msg << "unknown site";
-      }
-      msg << "); a checkpoint written before this field changed would still "
+          << " does not appear in " << contract.canonical_fn << "() ("
+          << fn.file << ":" << fn.line
+          << "); a checkpoint written before this field changed would still "
              "pass the fingerprint check -- add it to the canonical string";
       diags.push_back({"INV002", field.file, field.line, msg.str()});
     }

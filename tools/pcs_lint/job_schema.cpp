@@ -70,7 +70,7 @@ void scan_job_schema_uses(const std::string& rel_path, const LexResult& lx,
 
 void check_job_schema(const std::string& population_md,
                       const std::string& md_rel_path,
-                      const JobSchemaScan& scan, bool both_directions,
+                      const JobSchemaScan& scan,
                       std::vector<Diagnostic>& diags) {
   // Parse the ```job-schema block out of the docs.
   struct DocEntry {
@@ -144,24 +144,20 @@ void check_job_schema(const std::string& population_md,
     }
   }
 
-  // Documented but never used (full-tree scans only: a partial scan cannot
-  // prove a block entry dead).
-  if (both_directions) {
-    std::set<std::string> src_kinds;
-    std::set<std::string> src_keys;
-    for (const SchemaUse& u : scan.kinds) src_kinds.insert(u.name);
-    for (const SchemaUse& u : scan.keys) src_keys.insert(u.name);
-    for (const auto& [name, entry] : doc_kinds) {
-      if (src_kinds.count(name) == 0) {
+  // Documented but never used.
+  std::set<std::string> src_kinds;
+  std::set<std::string> src_keys;
+  for (const SchemaUse& u : scan.kinds) src_kinds.insert(u.name);
+  for (const SchemaUse& u : scan.keys) src_keys.insert(u.name);
+  for (const auto& [name, entry] : doc_kinds) {
+    if (src_kinds.count(name) == 0) {
+      add(diags, md_rel_path, entry.line,
+          "job kind '" + name + "' is documented but never accepted in src/");
+    }
+    for (const std::string& k : entry.keys) {
+      if (src_keys.count(k) == 0 && reported.insert("~" + k).second) {
         add(diags, md_rel_path, entry.line,
-            "job kind '" + name + "' is documented but never accepted in "
-            "src/");
-      }
-      for (const std::string& k : entry.keys) {
-        if (src_keys.count(k) == 0 && reported.insert("~" + k).second) {
-          add(diags, md_rel_path, entry.line,
-              "job key '" + k + "' is documented but never read in src/");
-        }
+            "job key '" + k + "' is documented but never read in src/");
       }
     }
   }

@@ -14,10 +14,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Directories scanned when no explicit file list is given. tools/pcs_lint
-// is deliberately excluded: its fixture corpus contains intentional
-// violations, and its rule tables name the very identifiers they hunt.
-constexpr const char* kDefaultDirs[] = {"src", "bench", "tests", "examples"};
+// Directories scanned under the root. tools/pcs_lint is deliberately
+// excluded: its fixture corpus contains intentional violations, and its
+// rule tables name the very identifiers they hunt.
+constexpr const char* kScanDirs[] = {"src", "bench", "tests", "examples"};
 
 bool lintable_extension(const fs::path& p) {
   const std::string ext = p.extension().string();
@@ -42,35 +42,30 @@ std::string rel_path(const fs::path& root, const fs::path& p) {
 
 // Rules whose diagnostics come from lint_tokens (vs. the whole-tree and
 // schema passes); drives the "did the filter select any token rule" check.
-const std::set<std::string> kTokenRules = {
-    "DET001", "DET002", "DET003", "DET004",
-    "DET005", "DET006", "INV001"};
+const std::set<std::string> kTokenRules = {"DET001", "DET002", "DET003",
+                                           "DET004", "DET006", "INV001"};
 
-}  // namespace
+// One scanned file.
+struct LintFile {
+  std::string abs;  // readable path (root-joined)
+  std::string rel;  // forward-slash path relative to root (diagnostic key)
+};
 
-std::vector<LintFile> collect_lint_files(const LintOptions& opts) {
-  const fs::path root(opts.root);
+// Every lintable file under the scan directories, sorted so the scan order
+// does not depend on directory-entry order.
+std::vector<LintFile> collect_lint_files(const fs::path& root) {
   std::vector<fs::path> files;
-  if (opts.files.empty()) {
-    for (const char* dir : kDefaultDirs) {
-      const fs::path base = root / dir;
-      std::error_code ec;
-      if (!fs::is_directory(base, ec)) continue;
-      for (const auto& entry : fs::recursive_directory_iterator(base, ec)) {
-        if (entry.is_regular_file() && lintable_extension(entry.path())) {
-          files.push_back(entry.path());
-        }
+  for (const char* dir : kScanDirs) {
+    const fs::path base = root / dir;
+    std::error_code ec;
+    if (!fs::is_directory(base, ec)) continue;
+    for (const auto& entry : fs::recursive_directory_iterator(base, ec)) {
+      if (entry.is_regular_file() && lintable_extension(entry.path())) {
+        files.push_back(entry.path());
       }
     }
-  } else {
-    for (const std::string& f : opts.files) {
-      fs::path p(f);
-      files.push_back(p.is_absolute() ? p : root / p);
-    }
   }
-  // Deterministic scan order regardless of directory-entry order.
   std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
 
   std::vector<LintFile> out;
   out.reserve(files.size());
@@ -80,11 +75,12 @@ std::vector<LintFile> collect_lint_files(const LintOptions& opts) {
   return out;
 }
 
+}  // namespace
+
 LintResult run_lint(const LintOptions& opts) {
   LintResult result;
   const fs::path root(opts.root);
-  const std::vector<LintFile> files = collect_lint_files(opts);
-  const bool full_tree = opts.files.empty();
+  const std::vector<LintFile> files = collect_lint_files(root);
 
   const auto want = [&opts](const char* id) {
     return opts.rules.empty() || opts.rules.count(id) != 0;
@@ -96,9 +92,8 @@ LintResult run_lint(const LintOptions& opts) {
     if (kTokenRules.count(r) != 0) want_tokens = true;
   }
 
-  // Pass 1: lex every file once, harvest suppressions, and build the symbol
-  // index (function definitions, call edges, sink reachability, the INV002
-  // struct/fingerprint shapes).
+  // Pass 1: lex every file once, harvest suppressions, and index the INV002
+  // struct/fingerprint shapes.
   struct Lexed {
     LintFile file;
     LexResult lx;
@@ -116,25 +111,21 @@ LintResult run_lint(const LintOptions& opts) {
     lexed.push_back({file, lex(content)});
     const LexResult& lx = lexed.back().lx;
     // LINT001 diagnostics about malformed annotations bypass suppression.
-    auto [it, inserted] =
-        suppressions.emplace(file.rel,
-                             collect_suppressions(lx, file.rel, result.diags));
-    if (inserted) {
-      for (const auto& [rule, n] : it->second.counts) {
-        result.suppression_counts[rule] += n;
-      }
+    const Suppressions& sup = suppressions[file.rel] =
+        collect_suppressions(lx, file.rel, result.diags);
+    for (const auto& [rule, n] : sup.counts) {
+      result.suppression_counts[rule] += n;
     }
     index_file(file.rel, lx, index);
   }
-  finalize_index(index);
 
-  // Pass 2: the flow-aware token rules plus the accumulated schema scans.
+  // Pass 2: the token rules plus the accumulated schema scans.
   SchemaScan schema_scan;
   JobSchemaScan job_schema_scan;
   std::vector<Diagnostic> raw;
   for (const Lexed& l : lexed) {
     if (want_tokens) {
-      lint_tokens(l.file.rel, l.lx, opts.rules, raw, &index);
+      lint_tokens(l.file.rel, l.lx, opts.rules, raw);
     }
     if (want_schema && l.file.rel.rfind("src/", 0) == 0) {
       scan_schema_uses(l.file.rel, l.lx, schema_scan);
@@ -148,8 +139,8 @@ LintResult run_lint(const LintOptions& opts) {
     const fs::path md = root / "TELEMETRY.md";
     std::string content;
     if (read_file(md, content)) {
-      check_schema(content, "TELEMETRY.md", schema_scan, full_tree, raw);
-    } else if (full_tree) {
+      check_schema(content, "TELEMETRY.md", schema_scan, raw);
+    } else {
       result.diags.push_back({"SCHEMA001", "TELEMETRY.md", 1,
                               "TELEMETRY.md not found under lint root '" +
                                   opts.root + "'"});
@@ -159,27 +150,22 @@ LintResult run_lint(const LintOptions& opts) {
     const fs::path md = root / "POPULATION.md";
     std::string content;
     if (read_file(md, content)) {
-      check_job_schema(content, "POPULATION.md", job_schema_scan, full_tree,
-                       raw);
-    } else if (full_tree) {
+      check_job_schema(content, "POPULATION.md", job_schema_scan, raw);
+    } else {
       result.diags.push_back({"SCHEMA002", "POPULATION.md", 1,
                               "POPULATION.md not found under lint root '" +
                                   opts.root + "'"});
     }
   }
 
-  // Whole-tree invariants only make sense when the whole tree was scanned:
-  // a partial scan sees neither both sides of a fingerprint contract nor
-  // every suppression annotation.
-  if (full_tree && want("INV002")) {
+  if (want("INV002")) {
     check_fingerprints(index, raw);
   }
-  if (full_tree && want("BUDGET001")) {
-    const std::string budget_rel =
-        opts.budget_path.empty() ? ".pcs-lint-budget" : opts.budget_path;
+  if (want("BUDGET001")) {
+    // A tree without a budget file has nothing to ratchet.
     std::string budget_text;
-    if (read_file(root / budget_rel, budget_text)) {
-      check_suppression_budget(budget_text, budget_rel,
+    if (read_file(root / ".pcs-lint-budget", budget_text)) {
+      check_suppression_budget(budget_text, ".pcs-lint-budget",
                                result.suppression_counts, raw);
     }
   }

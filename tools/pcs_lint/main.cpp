@@ -1,13 +1,10 @@
 // pcs-lint CLI. Exit codes: 0 clean, 1 diagnostics reported, 2 usage or
-// I/O error.
+// I/O error. Every run lints the whole tree under the root.
 //
 //   pcs_lint                         # scan src bench tests examples under .
-//   pcs_lint --root /path/to/repo    # scan the default dirs under a root
-//   pcs_lint --rules SCHEMA001       # only the telemetry docs gate
-//   pcs_lint src/core/mechanism.cpp  # explicit files (relative to root)
+//   pcs_lint --root /path/to/repo    # scan the same dirs under a root
+//   pcs_lint --rules SCHEMA001       # report only the telemetry docs gate
 //   pcs_lint --format=json           # machine-readable output on stdout
-//   pcs_lint --fix                   # apply the mechanically safe rewrites
-//   pcs_lint --budget FILE           # suppression-budget file (BUDGET001)
 //   pcs_lint --list-rules
 
 #include <cstdio>
@@ -19,9 +16,9 @@ namespace {
 
 int usage(std::FILE* to) {
   std::fputs(
-      "usage: pcs_lint [--root DIR] [--rules ID[,ID...]] [--budget FILE]\n"
-      "                [--format=text|json] [--fix] [--list-rules] "
-      "[file...]\n",
+      "usage: pcs_lint [--root DIR] [--rules ID[,ID...]] "
+      "[--format=text|json]\n"
+      "       pcs_lint --list-rules\n",
       to);
   return to == stdout ? 0 : 2;
 }
@@ -31,7 +28,6 @@ int usage(std::FILE* to) {
 int main(int argc, char** argv) {
   pcs_lint::LintOptions opts;
   bool json = false;
-  bool fix = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -46,15 +42,6 @@ int main(int argc, char** argv) {
     if (arg == "--root") {
       if (++i >= argc) return usage(stderr);
       opts.root = argv[i];
-      continue;
-    }
-    if (arg == "--budget") {
-      if (++i >= argc) return usage(stderr);
-      opts.budget_path = argv[i];
-      continue;
-    }
-    if (arg == "--fix") {
-      fix = true;
       continue;
     }
     if (arg.rfind("--format=", 0) == 0) {
@@ -88,26 +75,8 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "pcs-lint: unknown option '%s'\n", arg.c_str());
-      return usage(stderr);
-    }
-    opts.files.push_back(arg);
-  }
-
-  if (fix) {
-    const pcs_lint::FixResult fixed = pcs_lint::apply_fixes(opts);
-    for (const std::string& err : fixed.io_errors) {
-      std::fprintf(stderr, "pcs-lint: cannot rewrite %s\n", err.c_str());
-    }
-    for (const pcs_lint::FixEdit& e : fixed.edits) {
-      std::printf("%s:%d: fixed: %s\n", e.file.c_str(), e.line,
-                  e.kind.c_str());
-    }
-    std::fprintf(stderr, "pcs-lint: --fix changed %zu file(s)\n",
-                 fixed.changed_files.size());
-    if (!fixed.io_errors.empty()) return 2;
-    // Fall through and report what remains after the rewrites.
+    std::fprintf(stderr, "pcs-lint: unexpected argument '%s'\n", arg.c_str());
+    return usage(stderr);
   }
 
   const pcs_lint::LintResult result = pcs_lint::run_lint(opts);

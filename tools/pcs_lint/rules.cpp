@@ -1,4 +1,4 @@
-#include <algorithm>
+#include <cctype>
 #include <cstddef>
 #include <set>
 #include <string>
@@ -34,30 +34,6 @@ void add(std::vector<Diagnostic>& diags, const char* rule,
   diags.push_back({rule, file, line, std::move(message)});
 }
 
-// ------------------------------------------------------------- flow glue --
-
-// Witness chain when the function enclosing `line` sits in a serial context
-// (its values plausibly reach serialized output); sets `*chain` and returns
-// true. False when there is no index, no enclosing function, or no path to
-// a sink.
-bool flow_serial(const SymbolIndex* index, const std::string& path, int line,
-                 std::string* chain) {
-  if (index == nullptr) return false;
-  const FunctionDef* fn = index->enclosing(path, line);
-  if (fn == nullptr || !index->in_serial_context(fn->name)) return false;
-  *chain = index->sink_chain(fn->name);
-  return true;
-}
-
-// DET001/DET004 fire everywhere; the index only sharpens the message with
-// the call chain that carries the value into serialized output.
-std::string flow_suffix(const SymbolIndex* index, const std::string& path,
-                        int line) {
-  std::string chain;
-  if (!flow_serial(index, path, line, &chain)) return std::string();
-  return "; value reaches serialized output via " + chain;
-}
-
 // ---------------------------------------------------------------- DET001 --
 
 // Direct identifiers that always mean a wall-clock read.
@@ -74,7 +50,7 @@ const std::set<std::string, std::less<>> kClockIdents = {
 const std::set<std::string, std::less<>> kClockCalls = {"time", "clock"};
 
 void rule_det001(const std::string& path, const std::vector<Token>& toks,
-                 std::vector<Diagnostic>& diags, const SymbolIndex* index) {
+                 std::vector<Diagnostic>& diags) {
   for (size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != TokKind::kIdent) continue;
@@ -82,8 +58,7 @@ void rule_det001(const std::string& path, const std::vector<Token>& toks,
       add(diags, "DET001", path, t.line,
           "wall-clock source '" + t.text +
               "' breaks replay determinism; quarantine profiling code with "
-              "'pcs-lint: allow-file(DET001) <reason>'" +
-              flow_suffix(index, path, t.line));
+              "'pcs-lint: allow-file(DET001) <reason>'");
       continue;
     }
     if (kClockCalls.count(t.text) == 0) continue;
@@ -99,21 +74,11 @@ void rule_det001(const std::string& path, const std::vector<Token>& toks,
     }
     add(diags, "DET001", path, t.line,
         "call to wall-clock function '" + t.text +
-            "()' breaks replay determinism" +
-            flow_suffix(index, path, t.line));
+            "()' breaks replay determinism");
   }
 }
 
 // ---------------------------------------------------------------- DET002 --
-
-// A file counts as "serializing" when it writes trace records or any other
-// byte-compared output (figure text, JSONL, CSV); iteration order over
-// unordered containers would leak hash-table layout into those bytes.
-const std::set<std::string, std::less<>> kSerializeMarkers = {
-    "TraceRecord", "TraceSink", "ofstream", "fstream", "cout",
-    "printf",      "fprintf",   "fputs",    "puts",    "to_json",
-    "serialize",
-};
 
 const std::set<std::string, std::less<>> kUnorderedTypes = {
     "unordered_map", "unordered_set", "unordered_multimap",
@@ -141,19 +106,7 @@ size_t skip_template_args(const std::vector<Token>& toks, size_t i) {
 }
 
 void rule_det002(const std::string& path, const std::vector<Token>& toks,
-                 std::vector<Diagnostic>& diags, const SymbolIndex* index) {
-  // v1 firing condition: the file itself serializes. The index adds the
-  // flow-aware condition per site: the enclosing function's values reach a
-  // sink through helper calls even when this file never writes a byte.
-  bool file_serializing = false;
-  for (const Token& t : toks) {
-    if (t.kind == TokKind::kIdent && kSerializeMarkers.count(t.text) != 0) {
-      file_serializing = true;
-      break;
-    }
-  }
-  if (!file_serializing && index == nullptr) return;
-
+                 std::vector<Diagnostic>& diags) {
   // Pass 1: names with an unordered type. Covers direct declarations and
   // one level of `using Alias = std::unordered_map<...>;`.
   std::set<std::string> unordered_types(kUnorderedTypes.begin(),
@@ -209,24 +162,13 @@ void rule_det002(const std::string& path, const std::vector<Token>& toks,
   }
   if (unordered_vars.empty()) return;
 
-  // One site = one diagnostic: legacy wording when the file serializes,
-  // flow wording (with the witness chain) when only the call graph reaches
-  // a sink, nothing when neither holds.
   const auto report = [&](int line, const std::string& var,
                           const char* how) {
-    if (file_serializing) {
-      add(diags, "DET002", path, line,
-          std::string(how) + " over unordered container '" + var +
-              "' in a serializing file leaks hash-table order into "
-              "output; copy into a sorted vector first");
-      return;
-    }
-    std::string chain;
-    if (!flow_serial(index, path, line, &chain)) return;
     add(diags, "DET002", path, line,
         std::string(how) + " over unordered container '" + var +
-            "' leaks hash-table order into serialized output via " + chain +
-            "; copy into a sorted vector first");
+            "' visits elements in hash-table order, which differs across "
+            "standard libraries; iterate a sorted copy or an ordered "
+            "container instead");
   };
 
   // Pass 2a: range-for whose range expression names an unordered variable
@@ -322,38 +264,6 @@ void rule_det003(const std::string& path, const std::vector<Token>& toks,
   }
 }
 
-// ---------------------------------------------------------------- DET005 --
-
-// Scalar Rng draw methods. The batched fault pipeline (PR 5) draws through
-// Rng::uniform_block/gaussian_block so the transcendental chain runs over
-// contiguous arrays; a stray scalar draw in the fault hot path silently
-// serializes it again. fork() and the *_block entry points stay allowed.
-const std::set<std::string, std::less<>> kScalarDrawCalls = {
-    "uniform", "gaussian", "next_u64", "uniform_int", "bernoulli"};
-
-bool det005_hot_path(const std::string& path) {
-  return path.find("src/fault/") != std::string::npos;
-}
-
-void rule_det005(const std::string& path, const std::vector<Token>& toks,
-                 std::vector<Diagnostic>& diags) {
-  if (!det005_hot_path(path)) return;
-  for (size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (!is_punct(toks[i], ".") && !is_punct(toks[i], "->")) continue;
-    const Token& method = toks[i + 1];
-    if (method.kind != TokKind::kIdent ||
-        kScalarDrawCalls.count(method.text) == 0) {
-      continue;
-    }
-    if (!is_punct(toks[i + 2], "(")) continue;
-    add(diags, "DET005", path, method.line,
-        "scalar Rng draw '" + method.text +
-            "()' in the fault hot path; draw through uniform_block/"
-            "gaussian_block (or annotate a reference implementation with "
-            "'pcs-lint: allow(DET005) <reason>')");
-  }
-}
-
 // ---------------------------------------------------------------- DET004 --
 
 bool det004_exempt(const std::string& path) {
@@ -362,7 +272,7 @@ bool det004_exempt(const std::string& path) {
 }
 
 void rule_det004(const std::string& path, const std::vector<Token>& toks,
-                 std::vector<Diagnostic>& diags, const SymbolIndex* index) {
+                 std::vector<Diagnostic>& diags) {
   if (det004_exempt(path)) return;
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
     if (!is_ident(toks[i], "atomic") || !is_punct(toks[i + 1], "<")) continue;
@@ -372,8 +282,7 @@ void rule_det004(const std::string& path, const std::vector<Token>& toks,
         add(diags, "DET004", path, toks[i].line,
             "std::atomic<" + toks[j].text +
                 "> accumulation is order-dependent (float addition is not "
-                "associative); reduce via RunAggregator instead" +
-                flow_suffix(index, path, toks[i].line));
+                "associative); reduce via RunAggregator instead");
         break;
       }
     }
@@ -385,42 +294,14 @@ void rule_det004(const std::string& path, const std::vector<Token>& toks,
 // Thread-id and pointer-address values are scheduler/ASLR-dependent: two
 // byte-identical replays differ the moment one lands in a report. Sites:
 // this_thread::get_id() (or any get_id() call), reinterpret_cast to
-// uintptr_t/intptr_t, and "%p" printf formats. With an index the rule fires
-// only when the enclosing function is in a serial context; without one it
-// degrades to the v1-style file-level serializing check.
+// uintptr_t/intptr_t, and "%p" printf formats.
 void rule_det006(const std::string& path, const std::vector<Token>& toks,
-                 std::vector<Diagnostic>& diags, const SymbolIndex* index) {
-  bool file_serializing = false;
-  for (const Token& t : toks) {
-    if (t.kind == TokKind::kIdent && kSerializeMarkers.count(t.text) != 0) {
-      file_serializing = true;
-      break;
-    }
-  }
-  // True when a nondeterministic identity value produced at `line` can
-  // land in serialized bytes; fills `*chain` with the witness when the
-  // index provides one.
-  const auto serial_at = [&](int line, std::string* chain) {
-    if (index != nullptr) {
-      const FunctionDef* fn = index->enclosing(path, line);
-      if (fn != nullptr) {
-        if (!index->in_serial_context(fn->name)) return false;
-        *chain = index->sink_chain(fn->name);
-        return true;
-      }
-      // Namespace-scope token: no flow info, fall through to file level.
-    }
-    return file_serializing;
-  };
+                 std::vector<Diagnostic>& diags) {
   const auto report = [&](int line, const std::string& what) {
-    std::string chain;
-    if (!serial_at(line, &chain)) return;
-    std::string msg = what +
-                      " is scheduler/ASLR-dependent and must not reach "
-                      "serialized output";
-    if (!chain.empty()) msg += " (flows via " + chain + ")";
-    msg += "; derive a stable id (shard index, lane number) instead";
-    add(diags, "DET006", path, line, msg);
+    add(diags, "DET006", path, line,
+        what + " is scheduler/ASLR-dependent and must not reach serialized "
+               "output; derive a stable id (shard index, lane number) "
+               "instead");
   };
 
   for (size_t i = 0; i < toks.size(); ++i) {
@@ -521,25 +402,20 @@ void rule_inv001(const std::string& path, const std::vector<Token>& toks,
 const std::vector<RuleInfo>& rule_registry() {
   static const std::vector<RuleInfo> kRules = {
       {"DET001", "no wall-clock/time sources (replay determinism)"},
-      {"DET002",
-       "no unordered-container iteration in serializing files "
-       "(ordering determinism)"},
+      {"DET002", "no unordered-container iteration (ordering determinism)"},
       {"DET003", "all randomness flows through derive_seed/Rng"},
       {"DET004",
        "no float/double atomic accumulation outside RunAggregator "
        "(associativity determinism)"},
-      {"DET005",
-       "no scalar Rng draws in the fault hot path (src/fault/*); use the "
-       "block draw APIs"},
       {"DET006",
-       "no thread-id / pointer-address values flowing into serialized "
-       "output (scheduler/ASLR determinism)"},
+       "no thread-id / pointer-address values (scheduler/ASLR "
+       "determinism)"},
       {"INV001",
        "faulty-bits writes only in mechanism.cpp/cache_level.cpp "
        "(single-writer fault inclusion)"},
       {"INV002",
        "every PopulationSpec/PopulationGridSpec field appears in its "
-       "canonical fingerprint string (checkpoint validity)"},
+       "canonical fingerprint strings (checkpoint validity)"},
       {"SCHEMA001", "telemetry emissions match the TELEMETRY.md schema"},
       {"SCHEMA002", "job-file schema matches the POPULATION.md job-schema "
                     "block"},
@@ -605,21 +481,6 @@ Suppressions collect_suppressions(const LexResult& lx, const std::string& file,
     const std::string body = trim(c.text.substr(tag + 9));
     bool file_scope = false;
     std::string_view rest;
-    if (body.rfind("fix(", 0) == 0) {
-      // Scaffold marker left by --fix: suppresses nothing, but the rule ID
-      // must be real so stale markers cannot rot unnoticed.
-      const std::string_view marker = std::string_view(body).substr(4);
-      const size_t mclose = marker.find(')');
-      const std::string id =
-          mclose == std::string_view::npos
-              ? std::string(trim(marker))
-              : trim(marker.substr(0, mclose));
-      if (mclose == std::string_view::npos || !is_known_rule(id)) {
-        add(diags, "LINT001", file, c.line,
-            "malformed fix(RULE) scaffold marker; expected a known rule ID");
-      }
-      continue;
-    }
     if (body.rfind("allow-file(", 0) == 0) {
       file_scope = true;
       rest = std::string_view(body).substr(11);
@@ -686,16 +547,15 @@ Suppressions collect_suppressions(const LexResult& lx, const std::string& file,
 
 void lint_tokens(const std::string& rel_path, const LexResult& lx,
                  const std::set<std::string>& rules,
-                 std::vector<Diagnostic>& diags, const SymbolIndex* index) {
+                 std::vector<Diagnostic>& diags) {
   const auto want = [&rules](const char* id) {
     return rules.empty() || rules.count(id) != 0;
   };
-  if (want("DET001")) rule_det001(rel_path, lx.tokens, diags, index);
-  if (want("DET002")) rule_det002(rel_path, lx.tokens, diags, index);
+  if (want("DET001")) rule_det001(rel_path, lx.tokens, diags);
+  if (want("DET002")) rule_det002(rel_path, lx.tokens, diags);
   if (want("DET003")) rule_det003(rel_path, lx.tokens, diags);
-  if (want("DET004")) rule_det004(rel_path, lx.tokens, diags, index);
-  if (want("DET005")) rule_det005(rel_path, lx.tokens, diags);
-  if (want("DET006")) rule_det006(rel_path, lx.tokens, diags, index);
+  if (want("DET004")) rule_det004(rel_path, lx.tokens, diags);
+  if (want("DET006")) rule_det006(rel_path, lx.tokens, diags);
   if (want("INV001")) rule_inv001(rel_path, lx.tokens, diags);
 }
 

@@ -1,5 +1,4 @@
-// SCHEMA001: the telemetry docs-consistency gate, absorbing what
-// scripts/check_telemetry_docs.sh used to grep for. TELEMETRY.md ends with a
+// SCHEMA001: the telemetry docs-consistency gate. TELEMETRY.md ends with a
 // machine-readable ```schema-fields appendix (one `type: field field ...`
 // line per record type); every record type and field emitted from src/ must
 // appear there and vice versa, and the documented schema version must match
@@ -68,7 +67,7 @@ void add(std::vector<Diagnostic>& diags, const std::string& file, int line,
 
 void check_schema(const std::string& telemetry_md,
                   const std::string& md_rel_path, const SchemaScan& scan,
-                  bool both_directions, std::vector<Diagnostic>& diags) {
+                  std::vector<Diagnostic>& diags) {
   // Parse the appendix and the advertised schema version out of the docs.
   std::map<std::string, DocEntry> doc_types;
   std::map<std::string, int> doc_fields;  // field -> first appendix line
@@ -131,24 +130,21 @@ void check_schema(const std::string& telemetry_md,
     }
   }
 
-  // Documented but never emitted (full-tree scans only: a partial scan
-  // cannot prove an appendix entry dead).
-  if (both_directions) {
-    std::set<std::string> src_types;
-    std::set<std::string> src_fields;
-    for (const SchemaUse& u : scan.types) src_types.insert(u.name);
-    for (const SchemaUse& u : scan.fields) src_fields.insert(u.name);
-    for (const auto& [name, entry] : doc_types) {
-      if (src_types.count(name) == 0) {
+  // Documented but never emitted.
+  std::set<std::string> src_types;
+  std::set<std::string> src_fields;
+  for (const SchemaUse& u : scan.types) src_types.insert(u.name);
+  for (const SchemaUse& u : scan.fields) src_fields.insert(u.name);
+  for (const auto& [name, entry] : doc_types) {
+    if (src_types.count(name) == 0) {
+      add(diags, md_rel_path, entry.line,
+          "record type '" + name + "' is documented but never emitted "
+          "in src/");
+    }
+    for (const std::string& f : entry.fields) {
+      if (src_fields.count(f) == 0 && reported.insert("~" + f).second) {
         add(diags, md_rel_path, entry.line,
-            "record type '" + name + "' is documented but never emitted "
-            "in src/");
-      }
-      for (const std::string& f : entry.fields) {
-        if (src_fields.count(f) == 0 && reported.insert("~" + f).second) {
-          add(diags, md_rel_path, entry.line,
-              "field '" + f + "' is documented but never emitted in src/");
-        }
+            "field '" + f + "' is documented but never emitted in src/");
       }
     }
   }
