@@ -30,6 +30,7 @@
 #include "core/system.hpp"
 #include "exp/sweep_engine.hpp"
 #include "telemetry/trace_sink.hpp"
+#include "trace/workload_source.hpp"
 #include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -62,7 +63,7 @@ std::string workload_label(const std::string& workload) {
 // Fans the whole 2xWx3 grid across the pool; reports come back in grid
 // order (config-major, workload, then baseline/SPCS/DPCS), so rows[c][w]
 // is at a fixed offset regardless of which worker finished when.
-std::vector<std::vector<Row>> run_grid(u64 refs) {
+std::vector<std::vector<Row>> run_grid(u64 refs, TraceSink* sink) {
   RunParams rp;
   rp.max_refs = refs;
   rp.warmup_refs = refs / 4;
@@ -76,15 +77,10 @@ std::vector<std::vector<Row>> run_grid(u64 refs) {
       .seeds(1, 42)
       .params(rp);
 
-  std::unique_ptr<TraceSink> sink;
-  if (const char* path = std::getenv("PCS_TRACE")) {
-    sink = make_trace_sink(path);
-    emit_trace_header(*sink);
-  }
   SweepOptions opt;
   opt.num_threads = 0;  // pcs_thread_count()
   opt.max_lanes = 16;
-  const auto reports = SweepRunner(opt).run(grid, sink.get());
+  const auto reports = SweepRunner(opt).run(grid, sink);
 
   const u64 num_wl = grid_workloads().size();
   std::vector<std::vector<Row>> rows(2, std::vector<Row>(num_wl));
@@ -194,11 +190,17 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  std::cout << "== FIG4: gem5-style simulation sweep (" << fmt_count(refs)
-            << " measured refs per run; set PCS_REFS to change) ==\n";
-
   try {
-    const auto rows = run_grid(refs);
+    // Every file opens before the first byte of the report.
+    for (const std::string& path : g_trace_files) (void)open_trace_file(path);
+    std::unique_ptr<TraceSink> sink;
+    if (const char* path = std::getenv("PCS_TRACE")) {
+      sink = make_trace_sink(path);
+      emit_trace_header(*sink);
+    }
+    std::cout << "== FIG4: gem5-style simulation sweep (" << fmt_count(refs)
+              << " measured refs per run; set PCS_REFS to change) ==\n";
+    const auto rows = run_grid(refs, sink.get());
     report_config(SystemConfig::config_a(), rows[0]);
     report_config(SystemConfig::config_b(), rows[1]);
   } catch (const std::exception& e) {

@@ -412,16 +412,20 @@ void BM_PopulationBinChip(benchmark::State& state) {
   const PopulationSpec spec;  // 64 KB 4-way, 56-level default ladder
   const std::vector<Volt> grid = spec.grid();
   const RungCuts cuts(grid, ber.mu(), ber.sigma(), spec.org.bits_per_block());
-  std::vector<u64> draws(spec.org.num_blocks());
+  const u64 blocks = spec.org.num_blocks();
+  std::vector<u64> draws(blocks);
   std::vector<u16> buckets(draws.size());
+  std::vector<u64> rungs(grid.size() + 2);
   std::vector<u64> faulty_at(grid.size() + 2);
+  ChipBinPoint p;
   u64 die = 0;
   for (auto _ : state) {
     Rng rng(derive_seed(spec.seed, 0, die++));
     rng.uniform_bits_block(draws);
-    benchmark::DoNotOptimize(bin_chip(draws, cuts, spec.org.assoc,
-                                      spec.spcs_min_capacity, buckets,
-                                      faulty_at));
+    bin_chip(draws, cuts, std::span<const u64>(&blocks, 1),
+             std::span<const u32>(&spec.org.assoc, 1), spec.spcs_min_capacity,
+             buckets, rungs, faulty_at, std::span<ChipBinPoint>(&p, 1));
+    benchmark::DoNotOptimize(p);
   }
   state.SetItemsProcessed(state.iterations());
 }

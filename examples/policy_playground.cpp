@@ -18,7 +18,9 @@ using namespace pcs;
 int main(int argc, char** argv) {
   SystemConfig cfg = SystemConfig::config_a();
   if (argc > 1) {
-    cfg.l2.dpcs_interval = cli_u64("policy_playground", "interval", argv[1]);
+    // An interval of 0 would never close a DPCS window.
+    cfg.l2.dpcs_interval =
+        cli_u64("policy_playground", "interval", argv[1], 1);
   }
   if (argc > 2) {
     // DPCS needs a warm-up, a NAAT and a park interval per SuperInterval.

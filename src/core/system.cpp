@@ -28,40 +28,45 @@ PcsSystem::PcsSystem(const SystemConfig& config, PolicyKind kind,
   cpu_ = std::make_unique<CpuModel>(*hier_, cfg_.clock_ghz);
 
   Rng chip_rng(chip_seed);
-  ctl_l1i_ = make_controller(hier_->l1i(), cfg_.l1i, chip_rng.next_u64(),
-                             &ladder_l1i_);
-  ctl_l1d_ = make_controller(hier_->l1d(), cfg_.l1d, chip_rng.next_u64(),
-                             &ladder_l1d_);
-  ctl_l2_ =
-      make_controller(hier_->l2(), cfg_.l2, chip_rng.next_u64(), &ladder_l2_);
+  ctl_l1i_ = make_pcs_controller(cfg_, kind_, hier_->l1i(), cfg_.l1i,
+                                 chip_rng.next_u64(), *hier_, *cpu_,
+                                 &ladder_l1i_);
+  ctl_l1d_ = make_pcs_controller(cfg_, kind_, hier_->l1d(), cfg_.l1d,
+                                 chip_rng.next_u64(), *hier_, *cpu_,
+                                 &ladder_l1d_);
+  ctl_l2_ = make_pcs_controller(cfg_, kind_, hier_->l2(), cfg_.l2,
+                                chip_rng.next_u64(), *hier_, *cpu_,
+                                &ladder_l2_);
 }
 
 CacheArena::Spec PcsSystem::storage_spec(const SystemConfig& config) {
   return Hierarchy::storage_spec(config.hierarchy_config());
 }
 
-std::unique_ptr<PcsController> PcsSystem::make_controller(
-    CacheLevel& cache, const CacheLevelConfig& lc, u64 seed, VddLadder* out) {
-  const Technology& tech = cfg_.tech;
-  const double clock_hz = cfg_.clock_ghz * 1e9;
+std::unique_ptr<PcsController> make_pcs_controller(
+    const SystemConfig& cfg, PolicyKind kind, CacheLevel& cache,
+    const CacheLevelConfig& lc, u64 seed, WritebackSink& sink,
+    CycleClock& cpu, VddLadder* out) {
+  const Technology& tech = cfg.tech;
+  const double clock_hz = cfg.clock_ghz * 1e9;
 
-  if (kind_ == PolicyKind::kBaseline) {
+  if (kind == PolicyKind::kBaseline) {
     CachePowerModel model(tech, lc.org, MechanismSpec::baseline());
     EnergyMeter meter(model, clock_hz, tech.vdd_nominal, 0.0);
-    *out = VddLadder{{tech.vdd_nominal}, 1};
-    return std::make_unique<PcsController>(cache, *cpu_, std::move(meter));
+    if (out != nullptr) *out = VddLadder{{tech.vdd_nominal}, 1};
+    return std::make_unique<PcsController>(cache, cpu, std::move(meter));
   }
 
   // Design-time selection for this organisation...
   BerModel ber(tech);
   VddSelector selector(tech, ber, lc.org);
   VddSelectionParams sel;
-  sel.yield_target = cfg_.yield_target;
-  sel.capacity_target = cfg_.capacity_target;
-  sel.vdd1_capacity_floor = cfg_.vdd1_capacity_floor;
-  sel.num_levels = cfg_.num_vdd_levels;
+  sel.yield_target = cfg.yield_target;
+  sel.capacity_target = cfg.capacity_target;
+  sel.vdd1_capacity_floor = cfg.vdd1_capacity_floor;
+  sel.num_levels = cfg.num_vdd_levels;
   VddLadder ladder = selector.select(sel);
-  *out = ladder;
+  if (out != nullptr) *out = ladder;
 
   // ... then manufacture this particular die.
   Rng rng(seed);
@@ -80,17 +85,17 @@ std::unique_ptr<PcsController> PcsSystem::make_controller(
 
   auto mech = std::make_unique<PcsMechanism>(cache, std::move(map), ladder,
                                              ladder.spcs_level,
-                                             cfg_.settle_penalty);
+                                             cfg.settle_penalty);
 
   std::unique_ptr<PcsPolicy> policy;
-  if (kind_ == PolicyKind::kStatic) {
+  if (kind == PolicyKind::kStatic) {
     policy = std::make_unique<StaticPolicy>(ladder.spcs_level);
   } else {
     DpcsParams dp;
     dp.interval_accesses = lc.dpcs_interval;
     dp.super_interval = lc.super_interval;
-    dp.low_threshold = cfg_.low_threshold;
-    dp.high_threshold = cfg_.high_threshold;
+    dp.low_threshold = cfg.low_threshold;
+    dp.high_threshold = cfg.high_threshold;
     dp.hit_latency = lc.hit_latency;
     dp.miss_penalty = lc.miss_penalty_estimate;
     dp.transition_penalty = mech->transition_penalty();
@@ -101,7 +106,7 @@ std::unique_ptr<PcsController> PcsSystem::make_controller(
                         MechanismSpec::pcs(ladder.num_levels()));
   EnergyMeter meter(model, clock_hz, mech->current_vdd(),
                     mech->gated_fraction());
-  return std::make_unique<PcsController>(cache, *hier_, *cpu_,
+  return std::make_unique<PcsController>(cache, sink, cpu,
                                          std::move(mech), std::move(policy),
                                          std::move(meter), lc.dpcs_interval);
 }

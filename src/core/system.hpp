@@ -89,6 +89,17 @@ struct SimReport {
   bool operator==(const SimReport&) const = default;
 };
 
+/// Builds the controller of one cache level of a `cfg` system under
+/// `kind`: the design-time ladder for lc.org (stored to `*out` when
+/// non-null), the die's fault map manufactured from `seed`, the policy and
+/// the energy meter. `sink` takes the blocks a transition flushes and
+/// `cpu` is charged its stalls. PcsSystem and MultiPcsSystem build every
+/// controller here.
+std::unique_ptr<PcsController> make_pcs_controller(
+    const SystemConfig& cfg, PolicyKind kind, CacheLevel& cache,
+    const CacheLevelConfig& lc, u64 seed, WritebackSink& sink,
+    CycleClock& cpu, VddLadder* out = nullptr);
+
 /// A manufactured, policy-equipped simulated system.
 class PcsSystem {
  public:
@@ -152,10 +163,6 @@ class PcsSystem {
   const VddLadder& ladder(const std::string& level) const;
 
  private:
-  std::unique_ptr<PcsController> make_controller(CacheLevel& cache,
-                                                 const CacheLevelConfig& lc,
-                                                 u64 seed, VddLadder* out);
-
   SystemConfig cfg_;
   PolicyKind kind_;
   std::unique_ptr<Hierarchy> hier_;

@@ -5,8 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <iomanip>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -15,6 +18,7 @@
 #include "exp/sweep_engine.hpp"
 #include "exp/thread_pool.hpp"
 #include "tech/leakage_model.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -60,20 +64,29 @@ std::vector<Volt> PopulationSpec::grid() const {
   return g;
 }
 
-ChipBinPoint bin_chip(std::span<const u64> draws, const RungCuts& cuts,
-                      u32 assoc, double min_capacity, std::span<u16> buckets,
-                      std::span<u64> faulty_at) {
+void bin_chip(std::span<const u64> draws, const RungCuts& cuts,
+              std::span<const u64> sizes, std::span<const u32> assocs,
+              double min_capacity, std::span<u16> buckets,
+              std::span<u64> rungs, std::span<u64> faulty_at,
+              std::span<ChipBinPoint> out) {
   const std::span<u16> b = buckets.first(draws.size());
   cuts.bucket_draws(draws, b);
   const u32 n = cuts.num_levels();
-  const u32 floor = cuts.floor_bucket(b, assoc);
-  if (floor >= n) return {};  // unusable: skip the histogram
-
-  std::fill(faulty_at.begin(), faulty_at.end(), u64{0});
-  count_buckets(b, faulty_at);
-  for (u32 l = n; l >= 1; --l) faulty_at[l] += faulty_at[l + 1];
-  return bin_from_floor_bucket(floor, faulty_at, draws.size(), n,
-                               min_capacity);
+  std::fill(rungs.begin(), rungs.end(), u64{0});
+  u64 counted = 0;
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    // count_buckets is additive, so each size adds only its new blocks.
+    const std::span<const u16> prefix = b.first(sizes[k]);
+    count_buckets(prefix.subspan(counted), rungs);
+    counted = sizes[k];
+    faulty_at[n + 1] = rungs[n + 1];
+    for (u32 l = n; l >= 1; --l) faulty_at[l] = rungs[l] + faulty_at[l + 1];
+    for (std::size_t a = 0; a < assocs.size(); ++a) {
+      out[k * assocs.size() + a] = bin_from_floor_bucket(
+          cuts.floor_bucket(prefix, assocs[a]), faulty_at, sizes[k], n,
+          min_capacity);
+    }
+  }
 }
 
 std::vector<u64> yield_pass_counts_mc(u64 trials, u64 seed,
@@ -338,32 +351,12 @@ void write_hist(std::ostream& f, const char* label,
   f << '\n';
 }
 
-u64 read_labeled_u64(std::istream& f, const char* label,
-                     const std::string& path) {
-  std::string got;
-  u64 v = 0;
-  if (!(f >> got) || got != label || !(f >> v)) {
-    bad_checkpoint(path, std::string("expected '") + label + " <count>'");
-  }
-  return v;
-}
-
-void read_hist(std::istream& f, const char* label, std::vector<u64>& hist,
-               const std::string& path) {
-  std::string got;
-  if (!(f >> got) || got != label) {
-    bad_checkpoint(path, std::string("expected '") + label + "' section");
-  }
-  for (u64& v : hist) {
-    if (!(f >> v)) bad_checkpoint(path, std::string(label) + " truncated");
-  }
-}
-
-}  // namespace
-
-void save_population_checkpoint(const std::string& path, u64 fingerprint,
-                                u64 shards_done,
-                                std::span<const PopulationResult> parts) {
+/// Writes the sidecar: `parts` is the in-order merged state so far, one
+/// result per point. Atomic via `path`.tmp + rename; throws
+/// std::runtime_error on I/O failure.
+void save_checkpoint(const std::string& path, u64 fingerprint,
+                     u64 shards_done,
+                     std::span<const PopulationResult> parts) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
@@ -392,58 +385,278 @@ void save_population_checkpoint(const std::string& path, u64 fingerprint,
   }
 }
 
-bool load_population_checkpoint(const std::string& path, u64 fingerprint,
-                                u64& shards_done,
-                                std::vector<PopulationResult>& parts) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;  // no sidecar yet: fresh start
-  std::string magic, version;
-  if (!(f >> magic >> version) || magic != "pcs-population-checkpoint" ||
-      version != "v1") {
-    bad_checkpoint(path, "not a v1 checkpoint file");
+/// The sidecar's longest valid token is its 25-byte magic.
+constexpr std::size_t kMaxSidecarToken = 32;
+
+/// Reads a sidecar token by token. A token longer than kMaxSidecarToken
+/// bytes is a rejection, and every count is an exact decimal u64
+/// (parse_u64), so a sign or an out-of-range value cannot wrap.
+class SidecarReader {
+ public:
+  SidecarReader(std::istream& in, const std::string& path)
+      : in_(in), path_(path) {}
+
+  [[noreturn]] void fail(const std::string& what) const {
+    bad_checkpoint(path_, what);
   }
-  const u64 fp = read_labeled_u64(f, "fingerprint", path);
-  if (fp != fingerprint) {
-    bad_checkpoint(path,
-                   "fingerprint mismatch (sidecar belongs to a different "
-                   "run spec/model; delete it or fix the spec)");
-  }
-  shards_done = read_labeled_u64(f, "shards_done", path);
-  const u64 npoints = read_labeled_u64(f, "points", path);
-  if (npoints != parts.size()) {
-    bad_checkpoint(path, "point count mismatch");
-  }
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    PopulationResult& r = parts[i];
-    if (read_labeled_u64(f, "point", path) != i) {
-      bad_checkpoint(path, "points out of order");
+
+  std::string word(const char* what) {
+    std::string t;
+    if (!(in_ >> std::setw(kMaxSidecarToken + 1) >> t)) {
+      fail(std::string("truncated at ") + what);
     }
-    r.num_chips = read_labeled_u64(f, "num_chips", path);
-    r.unusable = read_labeled_u64(f, "unusable", path);
-    r.no_spcs = read_labeled_u64(f, "no_spcs", path);
-    read_hist(f, "floor_hist", r.floor_hist, path);
-    read_hist(f, "spcs_hist", r.spcs_hist, path);
-    read_hist(f, "capacity_hist", r.capacity_hist, path);
-    read_hist(f, "bin_floor_hist", r.bin_floor_hist, path);
+    if (t.size() > kMaxSidecarToken) {
+      fail(std::string(what) + " token longer than " +
+           std::to_string(kMaxSidecarToken) + " bytes");
+    }
+    return t;
   }
-  std::string tail;
-  if (!(f >> tail) || tail != "end") bad_checkpoint(path, "truncated file");
-  return true;
+
+  u64 number(const char* what) {
+    const auto v = parse_u64(word(what));
+    if (!v) fail(std::string(what) + " is not a decimal u64");
+    return *v;
+  }
+
+  void expect(const char* label) {
+    if (word(label) != label) {
+      fail(std::string("expected '") + label + "'");
+    }
+  }
+
+  u64 labeled(const char* label) {
+    expect(label);
+    return number(label);
+  }
+
+  void hist(const char* label, std::vector<u64>& h) {
+    expect(label);
+    for (u64& v : h) v = number(label);
+  }
+
+ private:
+  std::istream& in_;
+  const std::string& path_;
+};
+
+/// `start` plus the counts, or nullopt past 2^64 - 1 (never wraps).
+std::optional<u64> total(std::span<const u64> counts, u64 start = 0) {
+  u64 sum = start;
+  for (const u64 c : counts) {
+    if (c > ~u64{0} - sum) return std::nullopt;
+    sum += c;
+  }
+  return sum;
 }
 
-bool try_load_population_checkpoint(const std::string& path, u64 fingerprint,
-                                    u64& shards_done,
-                                    std::vector<PopulationResult>& parts,
-                                    bool strict) {
+/// Rejects a point whose counts do not describe `dies` binned dies.
+void check_counts(const SidecarReader& r, const PopulationResult& p,
+                  std::size_t i, u64 dies) {
+  const std::string at = " of point " + std::to_string(i);
+  if (p.num_chips != dies) {
+    r.fail("num_chips" + at + " is not the watermark's " +
+           std::to_string(dies) + " dies");
+  }
+  if (total(p.floor_hist, p.unusable) != p.num_chips) {
+    r.fail("floor_hist + unusable" + at + " do not sum to num_chips");
+  }
+  const u64 usable = p.num_chips - p.unusable;
+  if (total(p.capacity_hist) != usable) {
+    r.fail("capacity_hist" + at + " does not sum to num_chips - unusable");
+  }
+  if (total(p.spcs_hist, p.no_spcs) != usable) {
+    r.fail("spcs_hist + no_spcs" + at +
+           " do not sum to num_chips - unusable");
+  }
+  const std::size_t n = p.grid.size();
+  for (std::size_t s = 0; s < n; ++s) {
+    if (total(std::span<const u64>(p.bin_floor_hist).subspan(s * n, n)) !=
+        p.spcs_hist[s]) {
+      r.fail("bin_floor_hist row " + std::to_string(s + 1) + at +
+             " does not sum to its spcs_hist entry");
+    }
+  }
+}
+
+/// The shard a run starts from: the sidecar's watermark once the sidecar
+/// at ckpt.path loads into `merged` (shaped by the caller) and passes
+/// every check, else 0 with `merged` untouched. A missing sidecar is a
+/// silent fresh start. A rejected one throws std::runtime_error naming the
+/// path and the check under strict_resume, and otherwise warns on stderr
+/// and starts fresh.
+u64 resume_checkpoint(const CheckpointOptions& ckpt, u64 fingerprint,
+                      u64 num_chips, u64 per_shard, u64 num_shards,
+                      std::vector<PopulationResult>& merged) {
+  std::ifstream in(ckpt.path, std::ios::binary);
+  if (!in) return 0;  // no sidecar yet: fresh start
   try {
-    return load_population_checkpoint(path, fingerprint, shards_done, parts);
-  } catch (const std::exception& e) {
-    if (strict) throw;
+    SidecarReader r(in, ckpt.path);
+    if (r.word("magic") != "pcs-population-checkpoint" ||
+        r.word("version") != "v1") {
+      r.fail("not a v1 checkpoint file");
+    }
+    if (r.labeled("fingerprint") != fingerprint) {
+      r.fail("fingerprint mismatch (sidecar belongs to a different run "
+             "spec/model; delete it or fix the spec)");
+    }
+    const u64 done = r.labeled("shards_done");
+    if (r.labeled("points") != merged.size()) r.fail("point count mismatch");
+    std::vector<PopulationResult> parts = merged;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      PopulationResult& p = parts[i];
+      if (r.labeled("point") != i) r.fail("points out of order");
+      p.num_chips = r.labeled("num_chips");
+      p.unusable = r.labeled("unusable");
+      p.no_spcs = r.labeled("no_spcs");
+      r.hist("floor_hist", p.floor_hist);
+      r.hist("spcs_hist", p.spcs_hist);
+      r.hist("capacity_hist", p.capacity_hist);
+      r.hist("bin_floor_hist", p.bin_floor_hist);
+    }
+    r.expect("end");
+    if (done > num_shards) r.fail("watermark past the end of the run");
+    // Shards merge in order, so the watermark fixes the dies folded in.
+    const u64 dies = done == num_shards ? num_chips : done * per_shard;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      check_counts(r, parts[i], i, dies);
+    }
+    merged = std::move(parts);
+    return done;
+  } catch (const std::runtime_error& e) {
+    if (ckpt.strict_resume) throw;
     std::fprintf(stderr,
                  "pcs: checkpoint sidecar rejected, starting fresh: %s\n",
                  e.what());
-    return false;
+    return 0;
   }
+}
+
+/// Evaluates shard(s) for s in [start_shard, num_shards) across the pool
+/// and hands the parts to merge(s, part) IN SHARD ORDER: integer addition
+/// makes the merged result order-independent, and in-order merging is what
+/// gives the checkpoint watermark its "completed prefix" meaning and keeps
+/// telemetry emission deterministic.
+template <class ShardFn, class MergeFn>
+void run_population_shards(u32 num_threads, u64 start_shard, u64 num_shards,
+                           ShardFn&& shard, MergeFn&& merge) {
+  if (num_threads <= 1) {
+    for (u64 s = start_shard; s < num_shards; ++s) merge(s, shard(s));
+    return;
+  }
+  ThreadPool pool(num_threads);
+  std::vector<std::future<std::vector<PopulationResult>>> futures;
+  futures.reserve(static_cast<std::size_t>(num_shards - start_shard));
+  for (u64 s = start_shard; s < num_shards; ++s) {
+    futures.push_back(pool.submit([&shard, s] { return shard(s); }));
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    merge(start_shard + i, futures[i].get());
+  }
+}
+
+/// Index of `v` on `axis`.
+template <class T>
+std::size_t position(const std::vector<T>& axis, T v) {
+  return static_cast<std::size_t>(std::find(axis.begin(), axis.end(), v) -
+                                   axis.begin());
+}
+
+}  // namespace
+
+std::vector<PopulationResult> run_fleet(const PopulationSpec& base,
+                                        std::span<const FleetPoint> points,
+                                        double mu, u32 num_threads,
+                                        u64 fingerprint,
+                                        const CheckpointOptions* ckpt,
+                                        const FleetShardHook& after_shard) {
+  const std::vector<Volt> grid = base.grid();
+  // The axes the points span. Sizes ascend, so each size's histogram
+  // extends the one before and a die is drawn once, at the largest.
+  std::vector<u64> sizes;
+  std::vector<u32> assocs;
+  std::vector<Volt> sigmas;
+  for (const FleetPoint& p : points) {
+    sizes.push_back(p.blocks);
+    if (position(assocs, p.assoc) == assocs.size()) assocs.push_back(p.assoc);
+    if (position(sigmas, p.sigma) == sigmas.size()) sigmas.push_back(p.sigma);
+  }
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  // One cut table per sigma (validates mu and every sigma), built once per
+  // run; the shards only read them.
+  std::vector<RungCuts> cuts;
+  cuts.reserve(sigmas.size());
+  for (const Volt sigma : sigmas) {
+    cuts.emplace_back(grid, mu, sigma, base.org.bits_per_block());
+  }
+  // Where each point finds its bin among a die's (sigma, size, assoc) bins.
+  const std::size_t per_sigma = sizes.size() * assocs.size();
+  std::vector<std::size_t> slot;
+  slot.reserve(points.size());
+  for (const FleetPoint& p : points) {
+    slot.push_back(position(sigmas, p.sigma) * per_sigma +
+                   position(sizes, p.blocks) * assocs.size() +
+                   position(assocs, p.assoc));
+  }
+
+  const u64 per_shard = std::max<u64>(1, base.chips_per_shard);
+  const u64 num_shards =
+      base.num_chips / per_shard + (base.num_chips % per_shard != 0 ? 1 : 0);
+  const std::vector<PopulationResult> empty(
+      points.size(), make_empty_population_result(grid));
+  std::vector<PopulationResult> merged = empty;
+  const bool checkpointing = ckpt != nullptr && !ckpt->path.empty();
+  const u64 start_shard =
+      checkpointing && ckpt->resume
+          ? resume_checkpoint(*ckpt, fingerprint, base.num_chips, per_shard,
+                              num_shards, merged)
+          : 0;
+
+  // Each shard folds its chips into integer histograms; chip c's RNG seed
+  // depends only on (base.seed, c), so neither the shard size nor the
+  // thread count can change which dies get manufactured, and a smaller
+  // cache's draws are a prefix of a larger one's.
+  const auto shard_task = [&](u64 s) {
+    std::vector<PopulationResult> part = empty;
+    std::vector<u64> draws(static_cast<std::size_t>(sizes.back()));
+    std::vector<u16> buckets(draws.size());
+    std::vector<u64> rungs(grid.size() + 2);
+    std::vector<u64> faulty_at(grid.size() + 2);
+    std::vector<ChipBinPoint> bins(cuts.size() * per_sigma);
+    const u64 first = s * per_shard;
+    const u64 end = first + std::min(per_shard, base.num_chips - first);
+    for (u64 c = first; c < end; ++c) {
+      Rng rng(derive_seed(base.seed, 0, c));
+      rng.uniform_bits_block(draws);
+      for (std::size_t g = 0; g < cuts.size(); ++g) {
+        bin_chip(draws, cuts[g], sizes, assocs, base.spcs_min_capacity,
+                 buckets, rungs, faulty_at,
+                 std::span<ChipBinPoint>(bins).subspan(g * per_sigma,
+                                                       per_sigma));
+      }
+      for (std::size_t p = 0; p < part.size(); ++p) {
+        accumulate_chip(part[p], bins[slot[p]]);
+      }
+    }
+    return part;
+  };
+  u64 since_save = 0;
+  run_population_shards(
+      num_threads, start_shard, num_shards, shard_task,
+      [&](u64 s, const std::vector<PopulationResult>& part) {
+        for (std::size_t p = 0; p < part.size(); ++p) merged[p].merge(part[p]);
+        if (after_shard) after_shard(s, s * per_shard, part);
+        if (!checkpointing) return;
+        const u64 done = s + 1;
+        ++since_save;
+        if ((ckpt->every_shards != 0 && since_save >= ckpt->every_shards) ||
+            done == num_shards) {
+          save_checkpoint(ckpt->path, fingerprint, done, merged);
+          since_save = 0;
+          if (ckpt->on_checkpoint) ckpt->on_checkpoint(done);
+        }
+      });
+  return merged;
 }
 
 // ---- Engine ----------------------------------------------------------------
@@ -477,81 +690,23 @@ PopulationResult PopulationEngine::run(const PopulationSpec& spec,
                                        TraceSink* trace,
                                        const CheckpointOptions* ckpt) const {
   spec.org.validate();
-  const std::vector<Volt> grid = spec.grid();
-  // Validates mu and sigma too. Built once per run; the shards only read it.
-  const RungCuts cuts(grid, ber_->mu(), ber_->sigma(),
-                      spec.org.bits_per_block());
-  const u64 per_shard = std::max<u64>(1, spec.chips_per_shard);
-  const u64 num_shards =
-      spec.num_chips == 0 ? 0 : (spec.num_chips + per_shard - 1) / per_shard;
-
-  PopulationResult merged = make_empty_population_result(grid);
-  const bool checkpointing = ckpt != nullptr && !ckpt->path.empty();
-  const u64 fp = checkpointing
-                     ? population_fingerprint(population_canonical(
-                           spec, ber_->mu(), ber_->sigma()))
-                     : 0;
-  u64 start_shard = 0;
-  if (checkpointing && ckpt->resume) {
-    std::vector<PopulationResult> parts(1, merged);
-    u64 done = 0;
-    if (try_load_population_checkpoint(ckpt->path, fp, done, parts,
-                                       ckpt->strict_resume)) {
-      if (done > num_shards) {
-        if (ckpt->strict_resume) {
-          throw std::runtime_error("population checkpoint '" + ckpt->path +
-                                   "': watermark past the end of the run");
-        }
-        std::fprintf(stderr,
-                     "pcs: checkpoint sidecar rejected, starting fresh: "
-                     "watermark past the end of the run\n");
-      } else {
-        start_shard = done;
-        merged = std::move(parts[0]);
-      }
-    }
-  }
-
-  // Each shard folds its chips into integer histograms; chip c's RNG seed
-  // depends only on (spec.seed, c), so neither the shard size nor the
-  // thread count can change which dies get manufactured.
-  const auto shard_task = [&](u64 s) {
-    PopulationResult part = make_empty_population_result(grid);
-    const auto blocks = static_cast<std::size_t>(spec.org.num_blocks());
-    std::vector<u64> draws(blocks);
-    std::vector<u16> buckets(blocks);
-    std::vector<u64> faulty_at(grid.size() + 2);
-    const u64 first = s * per_shard;
-    const u64 end = std::min(spec.num_chips, first + per_shard);
-    for (u64 c = first; c < end; ++c) {
-      Rng rng(derive_seed(spec.seed, 0, c));
-      rng.uniform_bits_block(draws);
-      accumulate_chip(part, bin_chip(draws, cuts, spec.org.assoc,
-                                     spec.spcs_min_capacity, buckets,
-                                     faulty_at));
-    }
-    return part;
-  };
-  run_population_shards(
-      num_threads_, start_shard, num_shards, ckpt, shard_task,
-      [&](u64 s, const PopulationResult& part) {
-        if (trace != nullptr) {
-          // Deterministic section: shard records in shard order, counts
-          // only (resumed runs cover just the shards they ran).
-          trace->emit(TraceRecord("population_shard")
-                          .field("shard", s)
-                          .field("first_chip", s * per_shard)
-                          .field("chips", part.num_chips)
-                          .field("unusable", part.unusable));
-        }
-        merged.merge(part);
-      },
-      [&](u64 done) {
-        save_population_checkpoint(ckpt->path, fp, done,
-                                   std::span<const PopulationResult>(&merged,
-                                                                     1));
+  const FleetPoint point{spec.org.num_blocks(), spec.org.assoc, ber_->sigma()};
+  std::vector<PopulationResult> merged = run_fleet(
+      spec, std::span<const FleetPoint>(&point, 1), ber_->mu(), num_threads_,
+      population_fingerprint(
+          population_canonical(spec, ber_->mu(), ber_->sigma())),
+      ckpt, [trace](u64 s, u64 first_chip,
+                    std::span<const PopulationResult> part) {
+        // Deterministic section: shard records in shard order, counts
+        // only (resumed runs cover just the shards they ran).
+        if (trace == nullptr) return;
+        trace->emit(TraceRecord("population_shard")
+                        .field("shard", s)
+                        .field("first_chip", first_chip)
+                        .field("chips", part[0].num_chips)
+                        .field("unusable", part[0].unusable));
       });
-  return merged;
+  return std::move(merged[0]);
 }
 
 void render_population_report(const PopulationSpec& spec,

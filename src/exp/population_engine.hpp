@@ -34,12 +34,10 @@
 #pragma once
 
 #include <functional>
-#include <future>
 #include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "cachemodel/cache_org.hpp"
@@ -88,19 +86,24 @@ struct ChipBinPoint {
   u32 capacity_bin = 0;  ///< effective capacity at floor_level, binned
 };
 
-/// Bins one manufactured die straight from its blocks' uniform draws
-/// (Rng::uniform_bits_block, block order): buckets every block with
-/// `cuts`, takes the viability floor with RungCuts::floor_bucket, and --
-/// unless the die is unusable -- every level's effective capacity from a
-/// histogram of the buckets. `buckets` (>= draws.size() entries) and
-/// `faulty_at` (cuts.num_levels() + 2 entries) are scratch the caller
-/// reuses across dies. PopulationEngine's per-die kernel, exposed for
-/// tests and the micro-benchmarks; equal to the chain composition
+/// The per-die kernel of both engines. Bins one manufactured die, given
+/// its blocks' uniform draws (Rng::uniform_bits_block, block order) at its
+/// largest size, at every (size, assoc) pair: buckets every block once
+/// with `cuts`, grows the rung histogram over `sizes` (block counts,
+/// ascending, the last at most draws.size()) -- a smaller cache's draws are
+/// a prefix of a larger one's -- and at each size takes every assoc's
+/// viability floor with RungCuts::floor_bucket and its bin with
+/// bin_from_floor_bucket. out[k * assocs.size() + a] receives size k,
+/// assoc a. `buckets` (>= draws.size() entries), `rungs` and `faulty_at`
+/// (cuts.num_levels() + 2 entries each) are scratch the caller reuses
+/// across dies. At one size and one assoc it equals the chain composition
 /// sample_vf_block -> chip_fail_voltage -> count_fail_rungs ->
 /// bin_from_fail_summary.
-ChipBinPoint bin_chip(std::span<const u64> draws, const RungCuts& cuts,
-                      u32 assoc, double min_capacity, std::span<u16> buckets,
-                      std::span<u64> faulty_at);
+void bin_chip(std::span<const u64> draws, const RungCuts& cuts,
+              std::span<const u64> sizes, std::span<const u32> assocs,
+              double min_capacity, std::span<u16> buckets,
+              std::span<u64> rungs, std::span<u64> faulty_at,
+              std::span<ChipBinPoint> out);
 
 /// Fig. 3d's Monte-Carlo yield curve: manufactures `trials` dies of `org`
 /// (die i draws from Rng(derive_seed(seed, 0, i))) across `num_threads`
@@ -137,10 +140,10 @@ void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
 /// The binning step: places a die given the bucket of its viability floor
 /// (upper_bound(grid, vf_chip), grid.size() = unusable) and its
 /// suffix-summed per-level faulty counts `faulty_at` (num_levels + 2
-/// entries, 1-based levels) for a cache of `num_blocks` blocks. Both
-/// engines call it with RungCuts::floor_bucket; the grid engine calls it
-/// once per (size, assoc, sigma) point over shared summaries, which is
-/// what keeps every grid point bit-identical to its standalone run.
+/// entries, 1-based levels) for a cache of `num_blocks` blocks. bin_chip
+/// calls it with RungCuts::floor_bucket once per (size, assoc) over
+/// shared summaries, which is what keeps every grid point bit-identical to
+/// its standalone run.
 ChipBinPoint bin_from_floor_bucket(u32 floor_bucket,
                                    std::span<const u64> faulty_at,
                                    u64 num_blocks, u32 num_levels,
@@ -206,12 +209,14 @@ void accumulate_chip(PopulationResult& r, const ChipBinPoint& p);
 /// addition, a resumed run's result and report are byte-identical to an
 /// uninterrupted run's. The sidecar carries a fingerprint of the full run
 /// description; a sidecar that fails validation (fingerprint mismatch,
-/// shape mismatch, truncated/corrupt file) is rejected with a stderr
-/// warning and the run starts fresh -- still byte-identical to an
+/// shape mismatch, truncated/corrupt file, a token that is not an exact
+/// u64, a watermark past the end of the run, counts that do not add up to
+/// the watermark's dies) is rejected with a stderr warning naming the
+/// check, and the run starts fresh -- still byte-identical to an
 /// uninterrupted run, with the bad sidecar overwritten by the next save.
 /// Set `strict_resume` to turn a rejected sidecar into a
-/// std::runtime_error instead (operators who would rather stop than
-/// silently redo a large run).
+/// std::runtime_error naming the path and the check instead (operators who
+/// would rather stop than silently redo a large run).
 struct CheckpointOptions {
   std::string path;       ///< sidecar file; "" disables checkpointing
   u64 every_shards = 16;  ///< save cadence (0 = only the final save)
@@ -226,77 +231,34 @@ struct CheckpointOptions {
 /// the sidecar stores the hash so resumes refuse mismatched runs).
 u64 population_fingerprint(std::string_view canonical);
 
-/// Writes a checkpoint sidecar: `parts` is the in-order merged state so
-/// far (one entry for PopulationEngine, one per grid point for the grid
-/// engine). Atomic via `path`.tmp + rename; throws std::runtime_error on
-/// I/O failure.
-void save_population_checkpoint(const std::string& path, u64 fingerprint,
-                                u64 shards_done,
-                                std::span<const PopulationResult> parts);
+/// One design a fleet run bins every die at.
+struct FleetPoint {
+  u64 blocks = 0;  ///< cache size, in blocks
+  u32 assoc = 0;
+  Volt sigma = 0.0;  ///< fail-voltage spread (mu is the run's)
+};
 
-/// Loads a checkpoint sidecar into `parts` (pre-sized by the caller with
-/// empty results whose grids are set; counts are overwritten). Returns
-/// false if `path` does not exist; throws std::runtime_error on a corrupt
-/// file, a fingerprint mismatch, or a shape mismatch.
-bool load_population_checkpoint(const std::string& path, u64 fingerprint,
-                                u64& shards_done,
-                                std::vector<PopulationResult>& parts);
+/// Runs after each merged shard with the shard's index, its first chip and
+/// its per-point results.
+using FleetShardHook =
+    std::function<void(u64 shard, u64 first_chip,
+                       std::span<const PopulationResult> part)>;
 
-/// Resume front end over load_population_checkpoint: with `strict` unset, a
-/// sidecar the loader rejects (corrupt file, fingerprint mismatch, shape
-/// mismatch) produces a stderr warning and a clean start (returns false,
-/// `parts`/`shards_done` contents unspecified -- callers discard them on a
-/// false return) instead of propagating the exception; with `strict` set
-/// the exception passes through. A missing sidecar returns false silently
-/// in both modes.
-bool try_load_population_checkpoint(const std::string& path, u64 fingerprint,
-                                    u64& shards_done,
-                                    std::vector<PopulationResult>& parts,
-                                    bool strict);
-
-/// Shard scheduler shared by PopulationEngine and PopulationGridEngine:
-/// evaluates `shard(s)` for s in [start_shard, num_shards) across the pool
-/// and hands the parts to `merge(s, part)` IN SHARD ORDER. (Integer
-/// addition makes the merged result order-independent; in-order merging is
-/// what gives the checkpoint watermark its "completed prefix" meaning and
-/// keeps telemetry emission deterministic.) `save(shards_done)` runs after
-/// every ckpt->every_shards merged shards and once at the end of any run
-/// that merged at least one shard.
-template <class ShardFn, class MergeFn, class SaveFn>
-void run_population_shards(u32 num_threads, u64 start_shard, u64 num_shards,
-                           const CheckpointOptions* ckpt, ShardFn&& shard,
-                           MergeFn&& merge, SaveFn&& save) {
-  const bool checkpointing = ckpt != nullptr && !ckpt->path.empty();
-  const u64 every = checkpointing ? ckpt->every_shards : 0;
-  u64 since_save = 0;
-  const auto after_merge = [&](u64 shards_done) {
-    if (!checkpointing) return;
-    ++since_save;
-    if ((every != 0 && since_save >= every) || shards_done == num_shards) {
-      save(shards_done);
-      since_save = 0;
-      if (ckpt->on_checkpoint) ckpt->on_checkpoint(shards_done);
-    }
-  };
-  if (num_threads <= 1) {
-    for (u64 s = start_shard; s < num_shards; ++s) {
-      merge(s, shard(s));
-      after_merge(s + 1);
-    }
-    return;
-  }
-  using Part = std::invoke_result_t<ShardFn&, u64>;
-  ThreadPool pool(num_threads);
-  std::vector<std::future<Part>> futures;
-  futures.reserve(static_cast<std::size_t>(num_shards - start_shard));
-  for (u64 s = start_shard; s < num_shards; ++s) {
-    futures.push_back(pool.submit([&shard, s] { return shard(s); }));
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    merge(start_shard + i, futures[i].get());
-    after_merge(start_shard + i + 1);
-  }
-}
+/// The fleet run behind both engines: manufactures base.num_chips dies
+/// and bins each at every point, returning one merged PopulationResult per
+/// point, in point order. `base` supplies the chip count, seed, ladder,
+/// SPCS target, shard size and block geometry; its size and assoc are
+/// unused. The ladder and one RungCuts table per sigma are built once; the
+/// shards fan across `num_threads` workers and merge in shard order, then
+/// `after_shard` runs (if set) and the sidecar is saved on the `ckpt`
+/// cadence under `fingerprint`. With ckpt->resume the run first resumes
+/// from the sidecar (see CheckpointOptions).
+std::vector<PopulationResult> run_fleet(const PopulationSpec& base,
+                                        std::span<const FleetPoint> points,
+                                        double mu, u32 num_threads,
+                                        u64 fingerprint,
+                                        const CheckpointOptions* ckpt,
+                                        const FleetShardHook& after_shard);
 
 /// Runs populations across the deterministic ThreadPool.
 class PopulationEngine {
@@ -307,11 +269,13 @@ class PopulationEngine {
   u32 num_threads() const noexcept { return num_threads_; }
   const BerModel& ber() const noexcept { return *ber_; }
 
-  /// Simulates spec.num_chips dies and returns the merged distributions.
-  /// When `trace` is non-null, one deterministic `population_shard` record
-  /// is emitted per shard, in shard order (see TELEMETRY.md); a resumed run
-  /// emits records only for the shards it actually ran. `ckpt` enables
-  /// shard-range checkpoint/resume (see CheckpointOptions).
+  /// Simulates spec.num_chips dies and returns the merged distributions:
+  /// run_fleet at the one point (blocks, assoc, the model's sigma) of
+  /// `spec.org`. When `trace` is non-null, one deterministic
+  /// `population_shard` record is emitted per shard, in shard order (see
+  /// TELEMETRY.md); a resumed run emits records only for the shards it
+  /// actually ran. `ckpt` enables shard-range checkpoint/resume (see
+  /// CheckpointOptions).
   PopulationResult run(const PopulationSpec& spec, TraceSink* trace = nullptr,
                        const CheckpointOptions* ckpt = nullptr) const;
 

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
 #include <ostream>
-#include <span>
 #include <stdexcept>
 #include <string>
 
-#include "exp/sweep_engine.hpp"
 #include "exp/thread_pool.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace pcs {
@@ -115,155 +111,25 @@ PopulationGridResult PopulationGridEngine::run(
     const PopulationGridSpec& spec, TraceSink* trace,
     const CheckpointOptions* ckpt) const {
   spec.validate();
-  const PopulationSpec& base = spec.base;
-  const std::vector<Volt> grid = base.grid();
   const std::vector<Volt> sigmas = spec.sigma_axis(ber_->sigma());
-  const double mu = ber_->mu();
-  const std::size_t num_sizes = spec.sizes_kb.size();
-  const std::size_t num_assocs = spec.assocs.size();
-  const std::size_t num_sigmas = sigmas.size();
-  const std::size_t num_points = num_sizes * num_assocs * num_sigmas;
-  const auto point_index = [&](std::size_t si, std::size_t ai,
-                               std::size_t gi) {
-    return (si * num_assocs + ai) * num_sigmas + gi;
-  };
-
-  // Sizes are visited in ascending block order so each size's fault
-  // histogram extends the previous one's (count_fail_rungs is additive and
-  // the draw sequence of a smaller cache is a prefix of a larger one's).
-  std::vector<u64> blocks_of(num_sizes);
-  for (std::size_t si = 0; si < num_sizes; ++si) {
-    blocks_of[si] = spec.org_for(spec.sizes_kb[si], spec.assocs[0])
-                        .num_blocks();
-  }
-  std::vector<std::size_t> size_order(num_sizes);
-  std::iota(size_order.begin(), size_order.end(), std::size_t{0});
-  std::sort(size_order.begin(), size_order.end(),
-            [&](std::size_t a, std::size_t b) {
-              return blocks_of[a] < blocks_of[b];
-            });
-  const u64 max_blocks = blocks_of[size_order.back()];
-  const u32 num_levels = static_cast<u32>(grid.size());
-  // One cut table per sigma (validates mu and every sigma), built once per
-  // run; the shards only read them.
-  std::vector<RungCuts> cuts;
-  cuts.reserve(num_sigmas);
-  for (const Volt sigma : sigmas) {
-    cuts.emplace_back(grid, mu, sigma, base.org.bits_per_block());
-  }
-
-  const u64 per_shard = std::max<u64>(1, base.chips_per_shard);
-  const u64 num_shards =
-      base.num_chips == 0 ? 0
-                          : (base.num_chips + per_shard - 1) / per_shard;
-
-  const auto empty_parts = [&] {
-    std::vector<PopulationResult> parts;
-    parts.reserve(num_points);
-    for (std::size_t p = 0; p < num_points; ++p) {
-      parts.push_back(make_empty_population_result(grid));
-    }
-    return parts;
-  };
-
-  std::vector<PopulationResult> merged = empty_parts();
-  const bool checkpointing = ckpt != nullptr && !ckpt->path.empty();
-  const u64 fp = checkpointing ? population_fingerprint(
-                                     grid_canonical(spec, mu, sigmas))
-                               : 0;
-  u64 start_shard = 0;
-  if (checkpointing && ckpt->resume) {
-    u64 done = 0;
-    std::vector<PopulationResult> loaded = empty_parts();
-    if (try_load_population_checkpoint(ckpt->path, fp, done, loaded,
-                                       ckpt->strict_resume)) {
-      if (done > num_shards) {
-        if (ckpt->strict_resume) {
-          throw std::runtime_error("population checkpoint '" + ckpt->path +
-                                   "': watermark past the end of the run");
-        }
-        std::fprintf(stderr,
-                     "pcs: checkpoint sidecar rejected, starting fresh: "
-                     "watermark past the end of the run\n");
-      } else {
-        start_shard = done;
-        merged = std::move(loaded);
-      }
-    }
-  }
-
-  // One shard: draw each die once at the LARGEST size and bucket its blocks
-  // once per sigma; every grid point then comes from the shared buckets.
-  // Bit-identity argument: a block's bucket under cuts[gi] equals
-  //   upper_bound(grid, sample_fast's vf) at (mu, sigmas[gi]) (RungCuts),
-  // the first blocks(size) draws are exactly the smaller cache's draw
-  // sequence, and the histogram/fold/binning steps are the standalone
-  // engine's own (count_buckets / RungCuts::floor_bucket /
-  // bin_from_floor_bucket).
-  const auto shard_task = [&](u64 s) {
-    std::vector<PopulationResult> parts = empty_parts();
-    std::vector<u64> draws(static_cast<std::size_t>(max_blocks));
-    std::vector<u16> buckets(static_cast<std::size_t>(max_blocks));
-    std::vector<u64> rungs(num_levels + 2, 0);
-    std::vector<u64> faulty_at(num_levels + 2, 0);
-    const u64 first = s * per_shard;
-    const u64 end = std::min(base.num_chips, first + per_shard);
-    for (u64 c = first; c < end; ++c) {
-      Rng rng(derive_seed(base.seed, 0, c));
-      rng.uniform_bits_block(draws);
-      for (std::size_t gi = 0; gi < num_sigmas; ++gi) {
-        cuts[gi].bucket_draws(draws, buckets);
-        std::fill(rungs.begin(), rungs.end(), u64{0});
-        u64 prev_blocks = 0;
-        for (const std::size_t si : size_order) {
-          const u64 blocks = blocks_of[si];
-          const auto prefix = std::span<const u16>(buckets).first(
-              static_cast<std::size_t>(blocks));
-          count_buckets(prefix.subspan(static_cast<std::size_t>(prev_blocks)),
-                        rungs);
-          prev_blocks = blocks;
-          faulty_at[num_levels + 1] = rungs[num_levels + 1];
-          for (u32 l = num_levels; l >= 1; --l) {
-            faulty_at[l] = rungs[l] + faulty_at[l + 1];
-          }
-          for (std::size_t ai = 0; ai < num_assocs; ++ai) {
-            accumulate_chip(
-                parts[point_index(si, ai, gi)],
-                bin_from_floor_bucket(
-                    cuts[gi].floor_bucket(prefix, spec.assocs[ai]),
-                    faulty_at, blocks, num_levels, base.spcs_min_capacity));
-          }
-        }
-      }
-    }
-    return parts;
-  };
-  run_population_shards(
-      num_threads_, start_shard, num_shards, ckpt, shard_task,
-      [&](u64 /*s*/, const std::vector<PopulationResult>& parts) {
-        for (std::size_t p = 0; p < num_points; ++p) {
-          merged[p].merge(parts[p]);
-        }
-      },
-      [&](u64 done) {
-        save_population_checkpoint(
-            ckpt->path, fp, done,
-            std::span<const PopulationResult>(merged.data(), merged.size()));
-      });
-
+  // Points in report order: size-major, then assoc, then sigma.
+  std::vector<FleetPoint> points;
   PopulationGridResult result;
-  result.points.reserve(num_points);
-  for (std::size_t si = 0; si < num_sizes; ++si) {
-    for (std::size_t ai = 0; ai < num_assocs; ++ai) {
-      for (std::size_t gi = 0; gi < num_sigmas; ++gi) {
-        PopulationGridPointResult point;
-        point.size_kb = spec.sizes_kb[si];
-        point.assoc = spec.assocs[ai];
-        point.sigma = sigmas[gi];
-        point.result = std::move(merged[point_index(si, ai, gi)]);
-        result.points.push_back(std::move(point));
+  for (const u64 size_kb : spec.sizes_kb) {
+    for (const u32 assoc : spec.assocs) {
+      for (const Volt sigma : sigmas) {
+        points.push_back({spec.org_for(size_kb, assoc).num_blocks(), assoc,
+                          sigma});
+        result.points.push_back({size_kb, assoc, sigma, {}});
       }
     }
+  }
+  std::vector<PopulationResult> merged = run_fleet(
+      spec.base, points, ber_->mu(), num_threads_,
+      population_fingerprint(grid_canonical(spec, ber_->mu(), sigmas)), ckpt,
+      nullptr);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    result.points[p].result = std::move(merged[p]);
   }
 
   if (trace != nullptr) {

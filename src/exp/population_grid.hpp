@@ -1,33 +1,17 @@
 // Sample-once population grid engine.
 //
 // POPULATION.md's grid runs evaluate one manufactured fleet against a full
-// (size_kb x assoc x sigma) design grid. Running PopulationEngine once per
-// grid point re-manufactures the SAME dies G times: chip c's draws depend
-// only on (seed, c), never on the grid axes. This engine draws each die
-// ONCE per shard pass and derives every grid point from the shared draws:
-//
-//   * sigma axis: sigma moves only where each ladder rung cuts the draws.
-//     The engine builds one RungCuts table per sigma per run (the same
-//     table a standalone run at that sigma builds) and buckets each die's
-//     draws once per sigma; no point runs the order-statistic chain per
-//     block.
-//   * size axis: Rng::uniform_bits_block draws are exactly consecutive
-//     uniform() calls, so a smaller cache's draws are a bit-exact PREFIX
-//     of a larger cache's for the same seed. The die is drawn at the
-//     LARGEST size; smaller sizes reuse the prefix, and the per-level
-//     fault histogram grows incrementally (count_buckets is additive over
-//     block ranges, sizes visited in ascending block order).
-//   * assoc axis: associativity affects only the min/max fold over the
-//     buckets (RungCuts::floor_bucket, as in the standalone engine),
-//     never the draws or the fault histogram.
+// (size_kb x assoc x sigma) design grid. Chip c's draws depend only on
+// (seed, c), never on the grid axes, so the engine hands every grid point
+// to run_fleet (population_engine.hpp) at once: each die is drawn once at
+// the largest size and bucketed once per sigma, smaller sizes reuse a
+// prefix of its draws, and each assoc only refolds the buckets.
 //
 // Every per-point PopulationResult is therefore BIT-IDENTICAL to a
 // standalone PopulationEngine run of that point's spec with the same seed
 // (asserted per point by tests/test_population_grid.cpp and the CI grid
-// determinism smoke), at any thread count and any shard size -- the grid
-// engine inherits the shard/merge determinism contract unchanged, including
-// shard-range checkpoint/resume (CheckpointOptions; one histogram set per
-// grid point in the sidecar).
+// determinism smoke), at any thread count and any shard size, and resumes
+// from a checkpoint sidecar the same way (one histogram set per point).
 #pragma once
 
 #include <iosfwd>

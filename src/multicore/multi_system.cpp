@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/static_policy.hpp"
-#include "core/vdd_levels.hpp"
 #include "util/rng.hpp"
 
 namespace pcs {
@@ -50,70 +48,15 @@ MultiPcsSystem::MultiPcsSystem(const MultiSystemConfig& config,
 
   Rng chip_rng(chip_seed);
   for (u32 c = 0; c < cfg_.num_cores; ++c) {
-    ctl_l1i_.push_back(make_controller(hier_->l1i(c), cfg_.base.l1i,
-                                       chip_rng.next_u64()));
-    ctl_l1d_.push_back(make_controller(hier_->l1d(c), cfg_.base.l1d,
-                                       chip_rng.next_u64()));
+    ctl_l1i_.push_back(make_pcs_controller(cfg_.base, kind_, hier_->l1i(c),
+                                           cfg_.base.l1i, chip_rng.next_u64(),
+                                           *hier_, *cpu_));
+    ctl_l1d_.push_back(make_pcs_controller(cfg_.base, kind_, hier_->l1d(c),
+                                           cfg_.base.l1d, chip_rng.next_u64(),
+                                           *hier_, *cpu_));
   }
-  ctl_l2_ = make_controller(hier_->l2(), cfg_.base.l2, chip_rng.next_u64());
-}
-
-std::unique_ptr<PcsController> MultiPcsSystem::make_controller(
-    CacheLevel& cache, const CacheLevelConfig& lc, u64 seed) {
-  const Technology& tech = cfg_.base.tech;
-  const double clock_hz = cfg_.base.clock_ghz * 1e9;
-
-  if (kind_ == PolicyKind::kBaseline) {
-    CachePowerModel model(tech, lc.org, MechanismSpec::baseline());
-    EnergyMeter meter(model, clock_hz, tech.vdd_nominal, 0.0);
-    return std::make_unique<PcsController>(cache, *cpu_, std::move(meter));
-  }
-
-  BerModel ber(tech);
-  VddSelector selector(tech, ber, lc.org);
-  VddSelectionParams sel;
-  sel.yield_target = cfg_.base.yield_target;
-  sel.capacity_target = cfg_.base.capacity_target;
-  sel.vdd1_capacity_floor = cfg_.base.vdd1_capacity_floor;
-  sel.num_levels = cfg_.base.num_vdd_levels;
-  VddLadder ladder = selector.select(sel);
-
-  Rng rng(seed);
-  FaultMap map = FaultMap::sample(ladder.levels, ber, lc.org.num_blocks(),
-                                  lc.org.bits_per_block(), lc.org.assoc, rng);
-
-  u32 min_viable = ladder.spcs_level;
-  for (u32 lvl = 1; lvl <= ladder.spcs_level; ++lvl) {
-    if (map.viable(lc.org.assoc, lvl)) {
-      min_viable = lvl;
-      break;
-    }
-  }
-
-  auto mech = std::make_unique<PcsMechanism>(cache, std::move(map), ladder,
-                                             ladder.spcs_level,
-                                             cfg_.base.settle_penalty);
-  std::unique_ptr<PcsPolicy> policy;
-  if (kind_ == PolicyKind::kStatic) {
-    policy = std::make_unique<StaticPolicy>(ladder.spcs_level);
-  } else {
-    DpcsParams dp;
-    dp.interval_accesses = lc.dpcs_interval;
-    dp.super_interval = lc.super_interval;
-    dp.low_threshold = cfg_.base.low_threshold;
-    dp.high_threshold = cfg_.base.high_threshold;
-    dp.hit_latency = lc.hit_latency;
-    dp.miss_penalty = lc.miss_penalty_estimate;
-    dp.transition_penalty = mech->transition_penalty();
-    policy = std::make_unique<DpcsPolicy>(dp, ladder.spcs_level, min_viable);
-  }
-
-  CachePowerModel model(tech, lc.org, MechanismSpec::pcs(ladder.num_levels()));
-  EnergyMeter meter(model, clock_hz, mech->current_vdd(),
-                    mech->gated_fraction());
-  return std::make_unique<PcsController>(cache, *hier_, *cpu_,
-                                         std::move(mech), std::move(policy),
-                                         std::move(meter), lc.dpcs_interval);
+  ctl_l2_ = make_pcs_controller(cfg_.base, kind_, hier_->l2(), cfg_.base.l2,
+                                chip_rng.next_u64(), *hier_, *cpu_);
 }
 
 MultiSimReport MultiPcsSystem::run(std::vector<TraceSource*> traces,

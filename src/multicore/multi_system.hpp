@@ -91,10 +91,6 @@ class MultiPcsSystem {
   PolicyKind kind() const noexcept { return kind_; }
 
  private:
-  std::unique_ptr<PcsController> make_controller(CacheLevel& cache,
-                                                 const CacheLevelConfig& lc,
-                                                 u64 seed);
-
   MultiSystemConfig cfg_;
   PolicyKind kind_;
   std::unique_ptr<MultiHierarchy> hier_;

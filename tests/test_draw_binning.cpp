@@ -1,6 +1,6 @@
 // Exactness of binning dies straight from their uniform draws (RungCuts,
-// bin_chip) against the chain composition it replaced:
-// sample_vf_block -> chip_fail_voltage -> count_fail_rungs ->
+// bin_chip at one size and one assoc) against the chain composition it
+// replaced: sample_vf_block -> chip_fail_voltage -> count_fail_rungs ->
 // bin_from_fail_summary.
 //
 //   * Per draw, on 8 ladders x 4 bits-per-block sizes x 4 (mu, sigma):
@@ -323,6 +323,7 @@ TEST(DrawBinning, PerDieMatchesChainComposition) {
   const std::size_t max_blocks = org_for(1).num_blocks();
   std::vector<u64> draws(max_blocks);
   std::vector<u16> buckets(max_blocks);
+  std::vector<u64> rungs(grid.size() + 2);
   std::vector<u64> faulty_at(grid.size() + 2);
   u64 unusable = 0, usable = 0;
   for (const Model& m : {models()[0], models()[3]}) {
@@ -332,13 +333,15 @@ TEST(DrawBinning, PerDieMatchesChainComposition) {
       rng.uniform_bits_block(draws);
       const std::vector<float> vf = chain_vf(draws, bits, m);
       for (const u32 assoc : {1u, 2u, 3u, 4u, 8u, 16u}) {
-        const auto blocks = static_cast<std::size_t>(org_for(assoc).num_blocks());
+        const u64 blocks = org_for(assoc).num_blocks();
         const ChipBinPoint want = oracle_bin(
             std::span<const float>(vf).first(blocks), assoc, grid,
             spec.spcs_min_capacity);
-        const ChipBinPoint got =
-            bin_chip(std::span<const u64>(draws).first(blocks), cuts, assoc,
-                     spec.spcs_min_capacity, buckets, faulty_at);
+        ChipBinPoint got;
+        bin_chip(std::span<const u64>(draws).first(blocks), cuts,
+                 std::span<const u64>(&blocks, 1),
+                 std::span<const u32>(&assoc, 1), spec.spcs_min_capacity,
+                 buckets, rungs, faulty_at, std::span<ChipBinPoint>(&got, 1));
         if (got.floor_level != want.floor_level ||
             got.spcs_level != want.spcs_level ||
             got.capacity_bin != want.capacity_bin) {
@@ -351,7 +354,7 @@ TEST(DrawBinning, PerDieMatchesChainComposition) {
       }
     }
   }
-  // The dies cover both outcomes, so the floor skip is exercised too.
+  // The dies cover both outcomes: usable and unusable floors.
   EXPECT_GT(unusable, 0u);
   EXPECT_GT(usable, 0u);
 }
@@ -370,8 +373,10 @@ TEST(DrawBinning, DiesInsideGuardBandsMatchChainComposition) {
     if (c > kGuard && c < kDraws - kGuard) inner.push_back(c);
   }
   ASSERT_GT(inner.size(), 10u);
-  std::vector<u64> draws(org.num_blocks());
+  const u64 blocks = org.num_blocks();
+  std::vector<u64> draws(blocks);
   std::vector<u16> buckets(draws.size());
+  std::vector<u64> rungs(grid.size() + 2);
   std::vector<u64> faulty_at(grid.size() + 2);
   for (u64 die = 0; die < 200; ++die) {
     Rng rng(derive_seed(77, 0, die));
@@ -380,8 +385,11 @@ TEST(DrawBinning, DiesInsideGuardBandsMatchChainComposition) {
       k = static_cast<u64>(c + static_cast<i64>(rng.uniform_int(17)) - 8);
     }
     const std::vector<float> vf = chain_vf(draws, org.bits_per_block(), m);
-    expect_same(bin_chip(draws, cuts, org.assoc, spec.spcs_min_capacity,
-                         buckets, faulty_at),
+    ChipBinPoint got;
+    bin_chip(draws, cuts, std::span<const u64>(&blocks, 1),
+             std::span<const u32>(&org.assoc, 1), spec.spcs_min_capacity,
+             buckets, rungs, faulty_at, std::span<ChipBinPoint>(&got, 1));
+    expect_same(got,
                 oracle_bin(vf, org.assoc, grid, spec.spcs_min_capacity),
                 "guard-band die " + std::to_string(die));
     if (HasFailure()) return;
@@ -390,9 +398,11 @@ TEST(DrawBinning, DiesInsideGuardBandsMatchChainComposition) {
 
 TEST(DrawBinning, FoldClampsMatchChainComposition) {
   const CacheOrg org = org_for(4);
-  std::vector<u64> draws(org.num_blocks());
+  const u64 blocks = org.num_blocks();
+  std::vector<u64> draws(blocks);
   std::vector<u16> buckets(draws.size());
   const double min_capacity = PopulationSpec{}.spcs_min_capacity;
+  ChipBinPoint got;
 
   // 2.0 V: every block fails above 2.0 V, so each set's min stays at the
   // 2.0f seed; the ladder has rungs above 2.0 V, so the seed's bucket is
@@ -401,6 +411,7 @@ TEST(DrawBinning, FoldClampsMatchChainComposition) {
     const std::vector<Volt> grid = spec_ladder(0.45, 2.5, 0.05);
     const Model m{"sigma0p3", models()[0].mu, 0.3};
     const RungCuts cuts(grid, m.mu, m.sigma, org.bits_per_block());
+    std::vector<u64> rungs(grid.size() + 2);
     std::vector<u64> faulty_at(grid.size() + 2);
     for (std::size_t i = 0; i < draws.size(); ++i) {
       draws[i] = RungCuts::kDraws - 1 - i;
@@ -409,9 +420,10 @@ TEST(DrawBinning, FoldClampsMatchChainComposition) {
     ASSERT_EQ(chip_fail_voltage(vf, org.assoc), 2.0f);
     const ChipBinPoint want = oracle_bin(vf, org.assoc, grid, min_capacity);
     ASSERT_NE(want.floor_level, 0u);
-    expect_same(bin_chip(draws, cuts, org.assoc, min_capacity, buckets,
-                         faulty_at),
-                want, "2.0 V clamp");
+    bin_chip(draws, cuts, std::span<const u64>(&blocks, 1),
+             std::span<const u32>(&org.assoc, 1), min_capacity, buckets,
+             rungs, faulty_at, std::span<ChipBinPoint>(&got, 1));
+    expect_same(got, want, "2.0 V clamp");
   }
   // 0 V: draw 0 gives every block a negative fail voltage, so the max over
   // sets stays at the +0.0f seed; the ladder has rungs below 0 V.
@@ -419,6 +431,7 @@ TEST(DrawBinning, FoldClampsMatchChainComposition) {
     const std::vector<Volt> grid = spec_ladder(-0.5, 0.6, 0.05);
     const Model m = models()[0];
     const RungCuts cuts(grid, m.mu, m.sigma, org.bits_per_block());
+    std::vector<u64> rungs(grid.size() + 2);
     std::vector<u64> faulty_at(grid.size() + 2);
     std::fill(draws.begin(), draws.end(), u64{0});
     const std::vector<float> vf = chain_vf(draws, org.bits_per_block(), m);
@@ -426,9 +439,10 @@ TEST(DrawBinning, FoldClampsMatchChainComposition) {
     ASSERT_EQ(chip_fail_voltage(vf, org.assoc), 0.0f);
     const ChipBinPoint want = oracle_bin(vf, org.assoc, grid, min_capacity);
     ASSERT_GT(want.floor_level, 1u);
-    expect_same(bin_chip(draws, cuts, org.assoc, min_capacity, buckets,
-                         faulty_at),
-                want, "0 V clamp");
+    bin_chip(draws, cuts, std::span<const u64>(&blocks, 1),
+             std::span<const u32>(&org.assoc, 1), min_capacity, buckets,
+             rungs, faulty_at, std::span<ChipBinPoint>(&got, 1));
+    expect_same(got, want, "0 V clamp");
   }
 }
 

@@ -1,11 +1,14 @@
 // Population engine: the fleet-scale determinism contract (merged results
 // and shard telemetry are invariant to thread count; merged results are
 // also invariant to shard size), the per-chip binning kernel against the
-// dense FaultMap reference, and the histogram-derived statistics.
+// dense FaultMap reference, the histogram-derived statistics, and
+// checkpoint resume: old sidecars, and each check an edited one fails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -128,8 +131,10 @@ TEST(BinChip, MatchesDenseFaultMapReference) {
   const BerModel ber(Technology::soi45());
   const u32 n = static_cast<u32>(grid.size());
   const RungCuts cuts(grid, ber.mu(), ber.sigma(), spec.org.bits_per_block());
-  std::vector<u64> draws(spec.org.num_blocks());
+  const u64 blocks = spec.org.num_blocks();
+  std::vector<u64> draws(blocks);
   std::vector<u16> buckets(draws.size());
+  std::vector<u64> rungs(n + 2);
   std::vector<u64> faulty_at(n + 2);
 
   for (u64 die = 0; die < 25; ++die) {
@@ -152,9 +157,10 @@ TEST(BinChip, MatchesDenseFaultMapReference) {
     const u32 ref_spcs =
         fm.lowest_level_with_capacity(spec.org.assoc, spec.spcs_min_capacity);
 
-    const ChipBinPoint p = bin_chip(draws, cuts, spec.org.assoc,
-                                    spec.spcs_min_capacity, buckets,
-                                    faulty_at);
+    ChipBinPoint p;
+    bin_chip(draws, cuts, std::span<const u64>(&blocks, 1),
+             std::span<const u32>(&spec.org.assoc, 1), spec.spcs_min_capacity,
+             buckets, rungs, faulty_at, std::span<ChipBinPoint>(&p, 1));
     EXPECT_EQ(p.floor_level, ref_floor) << "die " << die;
     if (ref_floor != 0) {
       EXPECT_EQ(p.spcs_level, ref_spcs) << "die " << die;
@@ -532,6 +538,277 @@ TEST(PopulationGridEngine, RejectedSidecarFallsBackToCleanStart) {
     EXPECT_EQ(resumed.points[i].result, fresh.points[i].result);
   }
   std::remove(path.c_str());
+}
+
+
+// ---------------------------------------------------------------------------
+// Sidecars from before run_fleet, and the resume checks
+
+// The spec behind the sidecars below: 3 shards of 16 dies on a six-rung
+// ladder, so a sidecar fits in a few lines.
+PopulationSpec sidecar_spec() {
+  PopulationSpec spec = small_spec(48);
+  spec.chips_per_shard = 16;
+  spec.grid_lo = 0.55;
+  spec.grid_hi = 0.80;
+  spec.grid_step = 0.05;
+  return spec;
+}
+
+PopulationGridSpec sidecar_grid() {
+  PopulationGridSpec grid;
+  grid.base = sidecar_spec();
+  grid.sizes_kb = {8, 16};
+  grid.assocs = {4};
+  grid.sigmas = {0.1585};
+  return grid;
+}
+
+// Written by each engine before both ran on run_fleet, interrupted
+// after shard 2 (population) and shard 1 (grid): same format, same
+// fingerprints.
+constexpr const char* kOldPopulationSidecar =
+    "pcs-population-checkpoint v1\n"
+    "fingerprint 3777692637723427159\n"
+    "shards_done 2\n"
+    "points 1\n"
+    "point 0\n"
+    "num_chips 32\n"
+    "unusable 0\n"
+    "no_spcs 0\n"
+    "floor_hist 14 17 1 0 0 0\n"
+    "spcs_hist 0 0 0 16 15 1\n"
+    "capacity_hist 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"
+    " 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0"
+    " 0 0 0 6 2 3 0 0 1 0 0 0 1 0 0 0 0 0 0 1 0 0 3 3 3 2 1 3 0 1 0 0 0 1"
+    " 0 0 0 0\n"
+    "bin_floor_hist 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 7 9 0 0 0 0 6 8 1"
+    " 0 0 0 1 0 0 0 0 0\n"
+    "end\n";
+
+constexpr const char* kOldGridSidecar =
+    "pcs-population-checkpoint v1\n"
+    "fingerprint 11730581791864421385\n"
+    "shards_done 1\n"
+    "points 2\n"
+    "point 0\n"
+    "num_chips 16\n"
+    "unusable 0\n"
+    "no_spcs 0\n"
+    "floor_hist 11 5 0 0 0 0\n"
+    "spcs_hist 0 0 0 11 4 1\n"
+    "capacity_hist 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"
+    " 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0"
+    " 0 0 4 0 1 2 1 1 0 0 1 0 0 0 0 0 0 0 0 1 0 0 0 1 1 2 0 0 0 0 0 0 0 0"
+    " 0 0 0 0\n"
+    "bin_floor_hist 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 7 4 0 0 0 0 3 1 0"
+    " 0 0 0 1 0 0 0 0 0\n"
+    "point 1\n"
+    "num_chips 16\n"
+    "unusable 0\n"
+    "no_spcs 0\n"
+    "floor_hist 9 6 1 0 0 0\n"
+    "spcs_hist 0 0 0 9 6 1\n"
+    "capacity_hist 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"
+    " 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0"
+    " 0 0 0 4 1 2 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 2 1 1 0 1 1 0 0 0 0 0 1"
+    " 0 0 0 0\n"
+    "bin_floor_hist 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 5 4 0 0 0 0 3 2 1"
+    " 0 0 0 1 0 0 0 0 0\n"
+    "end\n";
+
+std::vector<PopulationResult> grid_results(const PopulationGridResult& g) {
+  std::vector<PopulationResult> out;
+  for (const PopulationGridPointResult& p : g.points) out.push_back(p.result);
+  return out;
+}
+
+TEST(PopulationEngine, ResumesASidecarWrittenBeforeRunFleet) {
+  const PopulationSpec spec = sidecar_spec();
+  const BerModel ber(Technology::soi45());
+  const std::string path =
+      std::string(::testing::TempDir()) + "pcs_pop_ck_old.txt";
+  std::remove(path.c_str());
+
+  // The same interrupted run still writes the same bytes...
+  CheckpointOptions ckpt;
+  ckpt.path = path;
+  ckpt.every_shards = 1;
+  struct StopRun {};
+  ckpt.on_checkpoint = [](u64 done) {
+    if (done == 2) throw StopRun{};
+  };
+  EXPECT_THROW(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt), StopRun);
+  EXPECT_EQ(slurp_file(path), kOldPopulationSidecar);
+
+  // ... and the old sidecar resumes: only shard 2 runs, and the report is
+  // byte-identical to an uninterrupted run's.
+  spit_file(path, kOldPopulationSidecar);
+  ckpt.on_checkpoint = nullptr;
+  ckpt.resume = true;
+  ckpt.strict_resume = true;
+  MemoryTraceSink mem;
+  const PopulationResult resumed =
+      PopulationEngine(ber, 1).run(spec, &mem, &ckpt);
+  EXPECT_EQ(mem.records().size(), 1u);
+  const PopulationResult fresh = PopulationEngine(ber, 1).run(spec);
+  EXPECT_EQ(resumed, fresh);
+  std::ostringstream a, b;
+  render_population_report(spec, resumed, a);
+  render_population_report(spec, fresh, b);
+  EXPECT_EQ(a.str(), b.str());
+  std::remove(path.c_str());
+}
+
+TEST(PopulationGridEngine, ResumesASidecarWrittenBeforeRunFleet) {
+  const PopulationGridSpec spec = sidecar_grid();
+  const BerModel ber(Technology::soi45());
+  const std::string path =
+      std::string(::testing::TempDir()) + "pcs_grid_ck_old.txt";
+  std::remove(path.c_str());
+
+  CheckpointOptions ckpt;
+  ckpt.path = path;
+  ckpt.every_shards = 1;
+  struct StopRun {};
+  ckpt.on_checkpoint = [](u64 done) {
+    if (done == 1) throw StopRun{};
+  };
+  EXPECT_THROW(PopulationGridEngine(ber, 1).run(spec, nullptr, &ckpt),
+               StopRun);
+  EXPECT_EQ(slurp_file(path), kOldGridSidecar);
+
+  spit_file(path, kOldGridSidecar);
+  ckpt.on_checkpoint = nullptr;
+  ckpt.resume = true;
+  ckpt.strict_resume = true;
+  const PopulationGridResult resumed =
+      PopulationGridEngine(ber, 1).run(spec, nullptr, &ckpt);
+  const PopulationGridResult fresh = PopulationGridEngine(ber, 1).run(spec);
+  EXPECT_EQ(grid_results(resumed), grid_results(fresh));
+  std::ostringstream a, b;
+  render_population_grid_report(spec, resumed, a);
+  render_population_grid_report(spec, fresh, b);
+  EXPECT_EQ(a.str(), b.str());
+  std::remove(path.c_str());
+}
+
+/// `sidecar` with the counts of its first `label` line (point 0's) passed
+/// through `edit`.
+std::string edit_line(
+    const std::string& sidecar, const std::string& label,
+    const std::function<void(std::vector<std::string>&)>& edit) {
+  const std::size_t at = sidecar.find("\n" + label + " ") + 1;
+  const std::size_t end = sidecar.find('\n', at);
+  std::istringstream in(sidecar.substr(at + label.size(),
+                                       end - at - label.size()));
+  std::vector<std::string> counts;
+  for (std::string c; in >> c;) counts.push_back(c);
+  edit(counts);
+  std::string line = label;
+  for (const std::string& c : counts) line += " " + c;
+  return sidecar.substr(0, at) + line + sidecar.substr(end);
+}
+
+/// One edit per resume check, each tripping only that check, with the
+/// words the rejection names the check by.
+struct SidecarEdit {
+  std::string check;
+  std::string label;
+  std::function<void(std::vector<std::string>&)> edit;
+};
+
+std::vector<SidecarEdit> sidecar_edits() {
+  const auto first_nonzero = [](std::vector<std::string>& v) -> std::string& {
+    return *std::find_if(v.begin(), v.end(),
+                         [](const std::string& c) { return c != "0"; });
+  };
+  const auto bump = [](std::string& c, u64 by) {
+    c = std::to_string(std::stoull(c) + by);
+  };
+  return {
+      {"num_chips of point 0 is not the watermark's", "num_chips",
+       [=](auto& v) { bump(v[0], 8000); }},
+      {"floor_hist + unusable of point 0", "floor_hist",
+       [=](auto& v) { bump(first_nonzero(v), 500); }},
+      // A u64 sum that wraps past 2^64 - 1 would balance again.
+      {"floor_hist + unusable of point 0", "floor_hist",
+       [=](auto& v) {
+         bump(first_nonzero(v), 1);
+         v.back() = "18446744073709551615";
+       }},
+      {"capacity_hist of point 0", "capacity_hist",
+       [=](auto& v) { bump(first_nonzero(v), 1); }},
+      {"spcs_hist + no_spcs of point 0", "spcs_hist",
+       [=](auto& v) { bump(first_nonzero(v), 1); }},
+      {"bin_floor_hist row", "bin_floor_hist",
+       [=](auto& v) { bump(first_nonzero(v), 1); }},
+      {"unusable is not a decimal u64", "unusable",
+       [](auto& v) { v[0] = "-1"; }},
+      {"floor_hist is not a decimal u64", "floor_hist",
+       [](auto& v) { v[0] = "+" + v[0]; }},
+      {"token longer than 32 bytes", "floor_hist",
+       [](auto& v) { v[0] = std::string(33, '0'); }},
+  };
+}
+
+/// Resumes `run` from each edit of the `valid` sidecar: a lenient resume
+/// warns on stderr naming the check and matches a fresh run; a strict one
+/// throws std::runtime_error naming the path and the check.
+template <class Run>
+void expect_every_edit_rejected(const std::string& valid,
+                                const std::string& path, const Run& run) {
+  const auto fresh = run(nullptr);
+  for (const SidecarEdit& e : sidecar_edits()) {
+    const std::string edited = edit_line(valid, e.label, e.edit);
+    ASSERT_NE(edited, valid) << e.check;
+    CheckpointOptions ckpt;
+    ckpt.path = path;
+    ckpt.resume = true;
+    spit_file(path, edited);
+    ::testing::internal::CaptureStderr();
+    const auto lenient = run(&ckpt);
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(lenient == fresh) << e.check;
+    EXPECT_NE(warning.find("rejected, starting fresh"), std::string::npos)
+        << warning;
+    EXPECT_NE(warning.find(e.check), std::string::npos) << warning;
+
+    spit_file(path, edited);
+    ckpt.strict_resume = true;
+    try {
+      (void)run(&ckpt);
+      ADD_FAILURE() << "strict resume accepted: " << e.check;
+    } catch (const std::runtime_error& ex) {
+      const std::string what = ex.what();
+      EXPECT_NE(what.find("'" + path + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(e.check), std::string::npos) << what;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PopulationEngine, EditedSidecarIsRejectedByEveryCheck) {
+  const PopulationSpec spec = sidecar_spec();
+  const BerModel ber(Technology::soi45());
+  expect_every_edit_rejected(
+      kOldPopulationSidecar,
+      std::string(::testing::TempDir()) + "pcs_pop_ck_edited.txt",
+      [&](const CheckpointOptions* ckpt) {
+        return PopulationEngine(ber, 1).run(spec, nullptr, ckpt);
+      });
+}
+
+TEST(PopulationGridEngine, EditedSidecarIsRejectedByEveryCheck) {
+  const PopulationGridSpec spec = sidecar_grid();
+  const BerModel ber(Technology::soi45());
+  expect_every_edit_rejected(
+      kOldGridSidecar,
+      std::string(::testing::TempDir()) + "pcs_grid_ck_edited.txt",
+      [&](const CheckpointOptions* ckpt) {
+        return grid_results(
+            PopulationGridEngine(ber, 1).run(spec, nullptr, ckpt));
+      });
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -18,6 +19,13 @@
 #include "workload/spec_profiles.hpp"
 
 namespace pcs {
+
+// Names each OrgSweep case by its geometry (64KB_4w, ...), so the test IDs
+// are the same in every build; gtest finds this by argument lookup.
+void PrintTo(const CacheOrg& org, std::ostream* os) {
+  *os << org.size_bytes / 1024 << "KB_" << org.assoc << "w";
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
