@@ -90,20 +90,6 @@ void BM_FaultFieldSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultFieldSampling)->Arg(1024)->Arg(32768);
 
-// Retained scalar chain, so BENCH_micro.json carries the fast/reference pair
-// the differential tests pin bit-identical (tests/test_fault_equivalence).
-void BM_FaultFieldSamplingReference(benchmark::State& state) {
-  const BerModel ber(Technology::soi45());
-  const u64 blocks = static_cast<u64>(state.range(0));
-  Rng rng(3);
-  for (auto _ : state) {
-    auto field = CellFaultField::sample_fast_reference(ber, blocks, 512, rng);
-    benchmark::DoNotOptimize(field);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<i64>(blocks));
-}
-BENCHMARK(BM_FaultFieldSamplingReference)->Arg(32768);
-
 void BM_GaussianBlock(benchmark::State& state) {
   Rng rng(11);
   std::vector<double> buf(4096);
@@ -318,34 +304,6 @@ void BM_SyntheticDataAddr(benchmark::State& state) {
 BENCHMARK(BM_SyntheticDataAddr);
 
 // ---- Lane-parallel sweep engine -------------------------------------------
-
-/// Tier A throughput: one decoded op stream replayed into N resident lane
-/// caches (the voltage-explorer path). Items = lane-updates, so comparing
-/// against BM_CacheLevelAccess gives the per-update cost of lane sharing.
-void BM_SweepLanesReplay(benchmark::State& state) {
-  const u32 num_lanes = static_cast<u32>(state.range(0));
-  std::vector<CacheLaneSweep::LaneSpec> specs;
-  for (u32 l = 0; l < num_lanes; ++l) {
-    specs.push_back({"lane" + std::to_string(l),
-                     CacheOrg{64 * 1024, 4, 64, 31}, "lru"});
-  }
-  CacheLaneSweep lanes(specs);
-  Rng rng(21);
-  std::vector<CacheOp> ops(4096);
-  for (auto& op : ops) {
-    const u64 r = rng.next_u64();
-    op.kind = CacheOp::Kind::kAccess;
-    op.addr = (r >> 7) & (256 * 1024 - 1);
-    op.write = (r >> 6) & 1;
-  }
-  for (auto _ : state) {
-    lanes.replay(ops.data(), ops.size());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<i64>(ops.size()) * num_lanes);
-}
-BENCHMARK(BM_SweepLanesReplay)->Arg(1)->Arg(8)->Arg(16);
 
 namespace sweep_bench {
 

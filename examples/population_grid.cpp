@@ -55,17 +55,27 @@ std::vector<u64> parse_u64_csv(const char* flag, const char* s, u64 hi) {
   }
 }
 
-std::vector<double> parse_real_csv(const char* s) {
+/// `s`, the value of `flag`, as a comma-separated list of numbers; a
+/// malformed item, an empty one too, exits 2 naming the flag. As with the
+/// `sigmas` job key, an empty `s` is the empty list (the soi45 default).
+std::vector<double> parse_real_csv(const char* flag, const char* s) {
   std::vector<double> out;
-  char* cursor = nullptr;
-  for (const char* tok = s; *tok != '\0';
-       tok = *cursor == ',' ? cursor + 1 : cursor) {
-    out.push_back(std::strtod(tok, &cursor));
-    if (cursor == tok || (*cursor != ',' && *cursor != '\0')) {
-      throw std::invalid_argument(std::string("malformed list '") + s + "'");
+  if (*s == '\0') return out;
+  for (std::string_view rest = s;;) {
+    const std::size_t comma = rest.find(',');
+    const std::string item(rest.substr(0, comma));
+    char* end = nullptr;
+    out.push_back(std::strtod(item.c_str(), &end));
+    if (item.empty() || *end != '\0') {
+      std::fprintf(stderr,
+                   "%s: %s must be a comma-separated list of numbers with no "
+                   "empty items, got '%s'\n",
+                   kProg, flag, s);
+      std::exit(2);
     }
+    if (comma == std::string_view::npos) return out;
+    rest.remove_prefix(comma + 1);
   }
-  return out;
 }
 
 }  // namespace
@@ -88,7 +98,7 @@ int main(int argc, char** argv) {
           spec.assocs.push_back(static_cast<u32>(a));
         }
       } else if (std::strcmp(arg, "--sigmas") == 0 && i + 1 < argc) {
-        spec.sigmas = parse_real_csv(argv[++i]);
+        spec.sigmas = parse_real_csv(arg, argv[++i]);
       } else if (std::strcmp(arg, "--out-dir") == 0 && i + 1 < argc) {
         out_dir = argv[++i];
       } else if (std::strcmp(arg, "--checkpoint") == 0 && i + 1 < argc) {

@@ -5,12 +5,11 @@
 //
 //   ./build/examples/voltage_explorer [size_kb] [assoc]
 //
-// It ends with a lane-parallel behavioral sweep: one manufactured die, one
-// lane per ladder level (each lane's faulty blocks are the blocks whose
-// fail voltage that level cannot clear), all lanes driven by ONE decode of
-// a synthetic workload through exp/sweep_engine's CacheLaneSweep -- so the
-// miss-rate/capacity cost of each candidate VDD is measured on the same
-// address stream in a single pass.
+// It ends with a behavioral ladder sweep: one manufactured die, one cache
+// per ladder level (each cache's faulty blocks are the blocks whose fail
+// voltage that level cannot clear), all caches driven by ONE decode of a
+// synthetic workload -- so the miss-rate/capacity cost of each candidate
+// VDD is measured on the same address stream in a single pass.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -19,10 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache_level.hpp"
 #include "cache/trace_source.hpp"
 #include "cachemodel/cache_power_model.hpp"
 #include "core/vdd_levels.hpp"
-#include "exp/sweep_engine.hpp"
 #include "fault/rung_cuts.hpp"
 #include "fault/yield_model.hpp"
 #include "util/parse.hpp"
@@ -36,7 +35,7 @@ namespace {
 
 constexpr const char* kProg = "voltage_explorer";
 
-/// Per-ladder-level lane sweep: measures each candidate VDD's demand miss
+/// Per-ladder-level cache sweep: measures each candidate VDD's demand miss
 /// rate and surviving capacity against one die and one address stream.
 void sweep_ladder_lanes(const CacheOrg& org, const BerModel& ber,
                         const VddLadder& ladder) {
@@ -53,13 +52,10 @@ void sweep_ladder_lanes(const CacheOrg& org, const BerModel& ber,
   rng.uniform_bits_block(draws);
   cuts.bucket_draws(draws, bucket);
 
-  std::vector<CacheLaneSweep::LaneSpec> specs;
+  std::vector<CacheLevel> caches;
+  caches.reserve(ladder.num_levels());
   for (u32 l = 1; l <= ladder.num_levels(); ++l) {
-    specs.push_back({"vdd" + std::to_string(l), org, "lru"});
-  }
-  CacheLaneSweep lanes(specs);
-  for (u32 l = 1; l <= ladder.num_levels(); ++l) {
-    CacheLevel& c = lanes.lane(l - 1);
+    CacheLevel& c = caches.emplace_back("vdd" + std::to_string(l), org, 1);
     for (u64 s = 0; s < org.num_sets(); ++s) {
       for (u32 w = 0; w < org.assoc; ++w) {
         if (l <= bucket[s * org.assoc + w]) c.set_block_faulty(s, w, true);
@@ -67,16 +63,12 @@ void sweep_ladder_lanes(const CacheOrg& org, const BerModel& ber,
     }
   }
 
-  // One decode, broadcast to every lane.
+  // One decode, broadcast to every cache.
   const u64 kRefs = 500'000;
   auto trace = make_spec_trace("mcf", trace_seed);
   TraceEvent ev;
-  CacheOp op;
-  op.kind = CacheOp::Kind::kAccess;
   for (u64 n = 0; n < kRefs && trace->next(ev); ++n) {
-    op.addr = ev.ref.addr;
-    op.write = ev.ref.write;
-    lanes.step(op);
+    for (CacheLevel& c : caches) c.access(ev.ref.addr, ev.ref.write);
   }
 
   std::printf("\nlane sweep: %u ladder levels x %s refs (mcf), one decode\n\n",
@@ -84,7 +76,7 @@ void sweep_ladder_lanes(const CacheOrg& org, const BerModel& ber,
   TextTable t({"lane", "VDD (V)", "faulty blocks", "capacity", "miss rate",
                "bypasses"});
   for (u32 l = 1; l <= ladder.num_levels(); ++l) {
-    const CacheLevel& c = lanes.lane(l - 1);
+    const CacheLevel& c = caches[l - 1];
     t.add_row({c.name(), fmt_fixed(ladder.vdd(l), 2),
                std::to_string(c.faulty_block_count()),
                fmt_pct(c.effective_capacity(), 2),

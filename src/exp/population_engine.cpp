@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -531,29 +530,6 @@ u64 resume_checkpoint(const CheckpointOptions& ckpt, u64 fingerprint,
   }
 }
 
-/// Evaluates shard(s) for s in [start_shard, num_shards) across the pool
-/// and hands the parts to merge(s, part) IN SHARD ORDER: integer addition
-/// makes the merged result order-independent, and in-order merging is what
-/// gives the checkpoint watermark its "completed prefix" meaning and keeps
-/// telemetry emission deterministic.
-template <class ShardFn, class MergeFn>
-void run_population_shards(u32 num_threads, u64 start_shard, u64 num_shards,
-                           ShardFn&& shard, MergeFn&& merge) {
-  if (num_threads <= 1) {
-    for (u64 s = start_shard; s < num_shards; ++s) merge(s, shard(s));
-    return;
-  }
-  ThreadPool pool(num_threads);
-  std::vector<std::future<std::vector<PopulationResult>>> futures;
-  futures.reserve(static_cast<std::size_t>(num_shards - start_shard));
-  for (u64 s = start_shard; s < num_shards; ++s) {
-    futures.push_back(pool.submit([&shard, s] { return shard(s); }));
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    merge(start_shard + i, futures[i].get());
-  }
-}
-
 /// Index of `v` on `axis`.
 template <class T>
 std::size_t position(const std::vector<T>& axis, T v) {
@@ -640,10 +616,16 @@ std::vector<PopulationResult> run_fleet(const PopulationSpec& base,
     }
     return part;
   };
+  // Parts merge in shard order: integer addition makes the merged result
+  // order-independent, and in-order merging is what gives the checkpoint
+  // watermark its "completed prefix" meaning and keeps telemetry
+  // emission deterministic.
   u64 since_save = 0;
-  run_population_shards(
-      num_threads, start_shard, num_shards, shard_task,
-      [&](u64 s, const std::vector<PopulationResult>& part) {
+  for_each_in_order(
+      num_threads, num_shards - start_shard,
+      [&](u64 i) { return shard_task(start_shard + i); },
+      [&](u64 i, const std::vector<PopulationResult>& part) {
+        const u64 s = start_shard + i;
         for (std::size_t p = 0; p < part.size(); ++p) merged[p].merge(part[p]);
         if (after_shard) after_shard(s, s * per_shard, part);
         if (!checkpointing) return;

@@ -131,9 +131,11 @@ void count_buckets(std::span<const u16> buckets, std::span<u64> rung_counts);
 /// any sorted ladder gets the exact upper_bound bucket. `grid` holds at
 /// most kMaxPopulationLevels rungs (std::invalid_argument otherwise);
 /// `rung_counts` must have grid.size() + 2 entries, and suffix-summing
-/// indices n..1 turns the buckets into per-level faulty counts. The
-/// engines bucket from draws instead (RungCuts); this kernel serves
-/// callers that hold fail voltages, such as the chain-composition oracle.
+/// indices n..1 turns the buckets into per-level faulty counts. No code
+/// in src/ calls it: the engines bucket from draws instead (RungCuts). It
+/// stays for callers that hold fail voltages -- the end-to-end benchmark's
+/// traced cross-check (e2e/src/traced.cpp), the chain-composition oracle
+/// in the tests, and the micro-benchmarks.
 void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
                       std::span<u64> rung_counts);
 
@@ -150,7 +152,9 @@ ChipBinPoint bin_from_floor_bucket(u32 floor_bucket,
                                    double min_capacity);
 
 /// bin_from_floor_bucket given the viability-floor scalar `vf_chip`
-/// itself (chip_fail_voltage's result) instead of its bucket.
+/// itself (chip_fail_voltage's result) instead of its bucket. No code in
+/// src/ calls it; it stays for the end-to-end benchmark's traced
+/// cross-check (e2e/src/traced.cpp) and the tests.
 ChipBinPoint bin_from_fail_summary(float vf_chip,
                                    std::span<const u64> faulty_at,
                                    u64 num_blocks, std::span<const Volt> grid,

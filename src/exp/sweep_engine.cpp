@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <string>
 
 // The sweep engine's whole point is inlining the fused per-lane event loop:
 // pull in the template bodies of the cache access paths so step_decoded<K>
@@ -20,86 +22,6 @@
 // record types (TELEMETRY.md), and SimReports never depend on them.
 
 namespace pcs {
-
-// ---- Tier A: CacheLaneSweep -----------------------------------------------
-
-CacheLaneSweep::CacheLaneSweep(const std::vector<LaneSpec>& lanes) {
-  CacheArena::Spec spec;
-  for (const auto& l : lanes) {
-    spec += CacheLevel::storage_spec(l.org, l.replacement);
-  }
-  arena_.reserve(spec);
-  lanes_.reserve(lanes.size());
-  for (const auto& l : lanes) {
-    lanes_.emplace_back(l.name, l.org, 1, l.replacement, &arena_);
-  }
-}
-
-void CacheLaneSweep::apply_side_op(CacheLevel& c, const CacheOp& op) {
-  const u64 set = op.set & (c.org().num_sets() - 1);
-  const u32 way = op.way % c.org().assoc;
-  if (op.kind == CacheOp::Kind::kSetFaulty) {
-    c.set_block_faulty(set, way, op.faulty);
-  } else {
-    c.invalidate(set, way);
-  }
-}
-
-void CacheLaneSweep::step(const CacheOp& op,
-                          CacheLevel::AccessResult* results) {
-  for (u32 i = 0; i < num_lanes(); ++i) {
-    CacheLevel& c = lanes_[i];
-    CacheLevel::AccessResult r;
-    switch (op.kind) {
-      case CacheOp::Kind::kAccess:
-        r = c.access(op.addr, op.write);
-        break;
-      case CacheOp::Kind::kWriteback:
-        r = c.receive_writeback(op.addr);
-        break;
-      default:
-        apply_side_op(c, op);
-        break;
-    }
-    if (results) results[i] = r;
-  }
-}
-
-template <CacheLevel::ReplKind K>
-void CacheLaneSweep::replay_lane(CacheLevel& c, const CacheOp* ops, u64 n) {
-  for (u64 i = 0; i < n; ++i) {
-    const CacheOp& op = ops[i];
-    switch (op.kind) {
-      case CacheOp::Kind::kAccess:
-        c.access_impl<K>(op.addr, op.write);
-        break;
-      case CacheOp::Kind::kWriteback:
-        c.receive_writeback_impl<K>(op.addr);
-        break;
-      default:
-        apply_side_op(c, op);
-        break;
-    }
-  }
-}
-
-void CacheLaneSweep::replay(const CacheOp* ops, u64 n) {
-  for (auto& c : lanes_) {
-    switch (c.repl_kind()) {
-      case CacheLevel::ReplKind::kLruPacked:
-        replay_lane<CacheLevel::ReplKind::kLruPacked>(c, ops, n);
-        break;
-      case CacheLevel::ReplKind::kLruWide:
-        replay_lane<CacheLevel::ReplKind::kLruWide>(c, ops, n);
-        break;
-      case CacheLevel::ReplKind::kTreePlru:
-        replay_lane<CacheLevel::ReplKind::kTreePlru>(c, ops, n);
-        break;
-    }
-  }
-}
-
-// ---- Tier B: SweepRunner --------------------------------------------------
 
 namespace {
 
@@ -306,49 +228,23 @@ std::vector<SimReport> SweepRunner::run(std::vector<ExperimentPoint> points,
 
   std::vector<MemoryTraceSink> task_traces(trace ? n : 0);
   std::vector<double> shard_ms(profiling ? shards.size() : 0, 0.0);
-  u64 steals = 0;
-  u64 max_depth = 0;
-
-  std::vector<SimReport> rows;
-  if (num_threads_ == 1) {
-    rows.resize(n);
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      const auto t0 = std::chrono::steady_clock::now();
-      auto reps = run_shard(points, shards[s],
-                            trace ? task_traces.data() : nullptr);
-      for (std::size_t k = 0; k < shards[s].size(); ++k) {
-        rows[shards[s][k]] = std::move(reps[k]);
-      }
-      if (profiling) shard_ms[s] = ms_since(t0);
-    }
-  } else {
-    RunAggregator agg(n);
-    ThreadPool pool(num_threads_);
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      const std::vector<u64>* idxs = &shards[s];
-      double* slot_ms = profiling ? &shard_ms[s] : nullptr;
-      MemoryTraceSink* traces = trace ? task_traces.data() : nullptr;
-      pool.submit([&agg, &points, idxs, traces, slot_ms] {
-        try {
-          const auto t0 = std::chrono::steady_clock::now();
-          auto reps = run_shard(points, *idxs, traces);
-          if (slot_ms) *slot_ms = ms_since(t0);
-          // Slot writes happen-before agg.wait() returns (the aggregator's
-          // mutex orders them), so the replay below is race-free.
-          for (std::size_t k = 0; k < idxs->size(); ++k) {
-            agg.put((*idxs)[k], std::move(reps[k]));
-          }
-        } catch (...) {
-          for (const u64 i : *idxs) {
-            agg.put_error(i, std::current_exception());
-          }
+  std::vector<SimReport> rows(n);
+  // Each shard writes only its own shard_ms slot and its points' sinks,
+  // and every write is done before for_each_in_order returns.
+  const PoolCounters counters = for_each_in_order(
+      num_threads_, shards.size(),
+      [&](u64 s) {
+        const auto t0 = std::chrono::steady_clock::now();
+        auto reps = run_shard(points, shards[s],
+                              trace ? task_traces.data() : nullptr);
+        if (profiling) shard_ms[s] = ms_since(t0);
+        return reps;
+      },
+      [&](u64 s, std::vector<SimReport>&& reps) {
+        for (std::size_t k = 0; k < shards[s].size(); ++k) {
+          rows[shards[s][k]] = std::move(reps[k]);
         }
       });
-    }
-    rows = agg.wait();
-    steals = pool.steal_count();
-    max_depth = pool.max_queue_depth();
-  }
 
   if (trace) {
     // Deterministic section: per point in grid order, its runner_task
@@ -380,16 +276,16 @@ std::vector<SimReport> SweepRunner::run(std::vector<ExperimentPoint> points,
     rec.field("threads", num_threads_)
         .field("shards", shards.size())
         .field("max_lanes", max_lanes_)
-        .field("steals", steals)
-        .field("max_queue_depth", max_depth)
+        .field("steals", counters.steals)
+        .field("max_queue_depth", counters.max_queue_depth)
         .field("wall_ms_total", total_ms);
     trace->emit(rec);
   }
   if (stats) {
     stats->threads = num_threads_;
     stats->tasks = shards.size();
-    stats->steals = steals;
-    stats->max_queue_depth = max_depth;
+    stats->steals = counters.steals;
+    stats->max_queue_depth = counters.max_queue_depth;
     stats->wall_ms_total = 0.0;
     for (const double ms : shard_ms) stats->wall_ms_total += ms;
     stats->task_wall_ms = std::move(shard_ms);

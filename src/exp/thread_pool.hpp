@@ -26,7 +26,7 @@ namespace pcs {
 
 /// Worker count for experiment sweeps: the PCS_THREADS environment variable
 /// if set to a positive integer, else std::thread::hardware_concurrency().
-/// PCS_THREADS=1 selects the legacy serial path (no pool, no threads).
+/// PCS_THREADS=1 runs every fan-out inline (no pool, no threads).
 u32 pcs_thread_count() noexcept;
 
 class ThreadPool {
@@ -112,28 +112,46 @@ class ThreadPool {
   std::vector<std::jthread> workers_;  // last: joins before queues die
 };
 
-/// Evaluates `fn(0) .. fn(n-1)` and returns the results in index order.
-/// `num_threads == 1` runs the plain serial loop (no pool, no threads);
-/// otherwise the calls fan across a ThreadPool and the first exception (by
-/// lowest index) is rethrown after it completes. `fn` must depend only on
-/// the index for the results to be thread-count invariant.
-template <class F>
-auto parallel_index_map(u32 num_threads, u64 n, F&& fn)
-    -> std::vector<std::invoke_result_t<F&, u64>> {
-  using R = std::invoke_result_t<F&, u64>;
-  std::vector<R> out;
-  out.reserve(n);
+/// Steal and queue-depth counters of the pool a fan-out ran on
+/// (observability only; both 0 when it ran inline).
+struct PoolCounters {
+  u64 steals = 0;
+  u64 max_queue_depth = 0;
+};
+
+/// The engines' one fan-out loop. Evaluates `fn(0) .. fn(n-1)` -- inline
+/// when `num_threads <= 1`, else across a ThreadPool -- and passes each
+/// result to `consume(i, r)` in index order, as soon as every lower index
+/// has been consumed. If call i throws, indices below i are consumed and
+/// its exception is rethrown: inline at once (later calls never run), on
+/// the pool once every call has finished (its destructor drains it), so no
+/// call outlives the state `fn` captures. `fn` must depend only on its
+/// index for the results to be thread-count invariant.
+template <class F, class C>
+PoolCounters for_each_in_order(u32 num_threads, u64 n, F&& fn, C&& consume) {
   if (num_threads <= 1) {
-    for (u64 i = 0; i < n; ++i) out.push_back(fn(i));
-    return out;
+    for (u64 i = 0; i < n; ++i) consume(i, fn(i));
+    return {};
   }
   ThreadPool pool(num_threads);
-  std::vector<std::future<R>> futures;
+  std::vector<std::future<std::invoke_result_t<F&, u64>>> futures;
   futures.reserve(n);
   for (u64 i = 0; i < n; ++i) {
     futures.push_back(pool.submit([&fn, i] { return fn(i); }));
   }
-  for (auto& f : futures) out.push_back(f.get());
+  for (u64 i = 0; i < n; ++i) consume(i, futures[i].get());
+  return {pool.steal_count(), pool.max_queue_depth()};
+}
+
+/// `fn(0) .. fn(n-1)` in index order: for_each_in_order collecting into a
+/// vector.
+template <class F>
+auto parallel_index_map(u32 num_threads, u64 n, F&& fn)
+    -> std::vector<std::invoke_result_t<F&, u64>> {
+  std::vector<std::invoke_result_t<F&, u64>> out;
+  out.reserve(n);
+  for_each_in_order(num_threads, n, fn,
+                    [&out](u64, auto&& r) { out.push_back(std::move(r)); });
   return out;
 }
 

@@ -1,10 +1,8 @@
 #include "fault/cell_fault_field.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 
-#include "util/mathx.hpp"
 #include "util/vecmath.hpp"
 
 namespace pcs {
@@ -12,16 +10,12 @@ namespace pcs {
 CellFaultField CellFaultField::sample_exact(const BerModel& ber,
                                             u64 num_blocks, u32 bits_per_block,
                                             Rng& rng) {
-  // Batched form of sample_exact_reference: gaussian_block draws the exact
-  // same sequence as per-cell gaussian(mu, sigma) calls (including the
-  // cached Box-Muller deviate carrying across block boundaries), and the
-  // running max over the buffer is the same left-to-right std::max fold.
   std::vector<float> vf(num_blocks);
-  std::vector<double> cells(bits_per_block);
   for (u64 b = 0; b < num_blocks; ++b) {
-    rng.gaussian_block(std::span<double>(cells), ber.mu(), ber.sigma());
     double max_vf = -1e9;
-    for (double v : cells) max_vf = std::max(max_vf, v);
+    for (u32 i = 0; i < bits_per_block; ++i) {
+      max_vf = std::max(max_vf, rng.gaussian(ber.mu(), ber.sigma()));
+    }
     vf[b] = static_cast<float>(max_vf);
   }
   return CellFaultField(std::move(vf), bits_per_block);
@@ -35,8 +29,7 @@ CellFaultField CellFaultField::sample_fast(const BerModel& ber, u64 num_blocks,
   //
   // The uniforms are drawn in blocks (same sequence as per-block uniform()
   // calls) and the log/expm1/inv_q chain runs over the contiguous buffer
-  // (vecmath::sample_vf_block, bit-identical to the scalar chain in
-  // sample_fast_reference).
+  // (vecmath::sample_vf_block).
   std::vector<float> vf(num_blocks);
   const double n = static_cast<double>(bits_per_block);
   constexpr u64 kChunk = 4096;
@@ -46,37 +39,6 @@ CellFaultField CellFaultField::sample_fast(const BerModel& ber, u64 num_blocks,
     rng.uniform_block(std::span<double>(u.data(), todo));
     vecmath::sample_vf_block(u.data(), todo, n, ber.mu(), ber.sigma(),
                              vf.data() + base);
-  }
-  return CellFaultField(std::move(vf), bits_per_block);
-}
-
-CellFaultField CellFaultField::sample_exact_reference(const BerModel& ber,
-                                                      u64 num_blocks,
-                                                      u32 bits_per_block,
-                                                      Rng& rng) {
-  std::vector<float> vf(num_blocks);
-  for (u64 b = 0; b < num_blocks; ++b) {
-    double max_vf = -1e9;
-    for (u32 i = 0; i < bits_per_block; ++i) {
-      max_vf = std::max(max_vf, rng.gaussian(ber.mu(), ber.sigma()));
-    }
-    vf[b] = static_cast<float>(max_vf);
-  }
-  return CellFaultField(std::move(vf), bits_per_block);
-}
-
-CellFaultField CellFaultField::sample_fast_reference(const BerModel& ber,
-                                                     u64 num_blocks,
-                                                     u32 bits_per_block,
-                                                     Rng& rng) {
-  std::vector<float> vf(num_blocks);
-  const double n = static_cast<double>(bits_per_block);
-  for (u64 b = 0; b < num_blocks; ++b) {
-    double u = rng.uniform();
-    if (u <= 0.0) u = 1e-300;
-    const double p = -std::expm1(std::log(u) / n);
-    const double z = inv_q_function(p);
-    vf[b] = static_cast<float>(ber.mu() + ber.sigma() * z);
   }
   return CellFaultField(std::move(vf), bits_per_block);
 }

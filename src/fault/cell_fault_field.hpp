@@ -22,8 +22,6 @@ class CellFaultField {
  public:
   /// Exact sampling: draws every cell's failure voltage and takes the block
   /// max. O(blocks * bits_per_block); use for small arrays and validation.
-  /// Draws Gaussians in blocks (Rng::gaussian_block); bit-identical to
-  /// sample_exact_reference.
   static CellFaultField sample_exact(const BerModel& ber, u64 num_blocks,
                                      u32 bits_per_block, Rng& rng);
 
@@ -31,22 +29,12 @@ class CellFaultField {
   /// distribution of the maximum of `bits_per_block` Gaussians. O(blocks);
   /// statistically identical to sample_exact (verified by tests).
   /// Runs the log/expm1/inv_q_function chain over contiguous draw blocks
-  /// (vecmath::sample_vf_block); bit-identical to sample_fast_reference.
-  /// The library's fault consumers bucket the same draws on their ladders
-  /// instead (FaultMap::sample, RungCuts); this is what they are tested
-  /// against.
+  /// (vecmath::sample_vf_block, the chain RungCuts uses for guard-band
+  /// draws). The library's fault consumers bucket the same draws on their
+  /// ladders instead (FaultMap::sample, RungCuts); this is what they are
+  /// tested against.
   static CellFaultField sample_fast(const BerModel& ber, u64 num_blocks,
                                     u32 bits_per_block, Rng& rng);
-
-  /// Reference implementations: the original scalar per-draw loops, kept as
-  /// the spec the batched paths are differentially tested against
-  /// (tests/test_fault_equivalence).  Same draw sequence, same bits.
-  static CellFaultField sample_exact_reference(const BerModel& ber,
-                                               u64 num_blocks,
-                                               u32 bits_per_block, Rng& rng);
-  static CellFaultField sample_fast_reference(const BerModel& ber,
-                                              u64 num_blocks,
-                                              u32 bits_per_block, Rng& rng);
 
   u64 num_blocks() const noexcept { return vf_.size(); }
   u32 bits_per_block() const noexcept { return bits_per_block_; }

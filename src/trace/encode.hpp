@@ -37,8 +37,6 @@ class PcstWriter {
   /// Returns the total events written.
   u64 finish();
 
-  u64 events_written() const noexcept { return events_; }
-
  private:
   void flush_block();
 

@@ -155,22 +155,12 @@ inline bool get_varint(const u8*& p, const u8* end, u64& out) noexcept {
   return false;
 }
 
-/// Wraparound-safe zig-zag of the u64 address delta `cur - prev`: small
-/// forward and backward strides both map to small values, and decode is
-/// exact for every (prev, cur) pair because everything is mod 2^64.
-inline u64 zigzag_delta(u64 prev, u64 cur) noexcept {
-  const u64 d = cur - prev;  // mod 2^64
-  return (d << 1) ^ (0ULL - (d >> 63));
-}
-
-inline u64 unzigzag_delta(u64 prev, u64 zz) noexcept {
-  const u64 d = (zz >> 1) ^ (0ULL - (zz & 1));
-  return prev + d;  // mod 2^64
-}
-
-/// Zig-zag of the delta arithmetically shifted right by `shift` -- lossless
-/// exactly when 2^shift divides the delta, which the encoder guarantees by
-/// choosing the block's common trailing-zero count.
+/// Zig-zag of the u64 address delta `cur - prev` arithmetically shifted
+/// right by `shift`: small forward and backward strides both map to small
+/// values, and decode is exact for every (prev, cur) pair because
+/// everything is mod 2^64. Lossless exactly when 2^shift divides the
+/// delta, which the encoder guarantees by choosing the block's common
+/// trailing-zero count.
 inline u64 zigzag_delta_shifted(u64 prev, u64 cur, u32 shift) noexcept {
   const u64 d = cur - prev;  // mod 2^64
   u64 x = d >> shift;

@@ -27,8 +27,6 @@ double q_function(double x) noexcept {
   return 0.5 * std::erfc(x / std::sqrt(2.0));
 }
 
-double normal_cdf(double x) noexcept { return 1.0 - q_function(x); }
-
 namespace {
 
 // Acklam's rational approximation to the inverse standard-normal CDF,
@@ -85,8 +83,6 @@ double inv_q_function(double p) noexcept {
   }
   return x;
 }
-
-double log1p_safe(double x) noexcept { return std::log1p(x); }
 
 double pow_one_minus(double p, double n) noexcept {
   if (p <= 0.0) return 1.0;

@@ -10,12 +10,6 @@ double q_function(double x) noexcept;
 /// Used to calibrate the BER model from (voltage, BER) anchor points.
 double inv_q_function(double p) noexcept;
 
-/// Standard normal CDF.
-double normal_cdf(double x) noexcept;
-
-/// log(1+x) accurate for tiny x; exposed for yield products over many blocks.
-double log1p_safe(double x) noexcept;
-
 /// Numerically stable computation of 1 - (1-p)^n for p in [0,1], n >= 0.
 /// This is the probability that at least one of n independent events with
 /// probability p occurs -- e.g. a block of n bits containing >= 1 faulty bit.

@@ -63,10 +63,6 @@ void Rng::gaussian_block(std::span<double> out, double mean,
   for (double& v : out) v = mean + stddev * v;
 }
 
-Rng Rng::fork(u64 salt) noexcept {
-  return Rng(next_u64() ^ (salt * 0x9e3779b97f4a7c15ULL) ^ 0xD1B54A32D192ED03ULL);
-}
-
 u64 derive_seed(u64 chip_seed, u64 trace_seed, u64 task_index) noexcept {
   // Each word perturbs the SplitMix64 state before the next draw, so any
   // single-bit change in any input word reshuffles the final output.

@@ -96,10 +96,6 @@ class Rng {
   void gaussian_block(std::span<double> out, double mean,
                       double stddev) noexcept;
 
-  /// Derives an independent child generator; `salt` decorrelates children
-  /// created from the same parent state.
-  Rng fork(u64 salt) noexcept;
-
  private:
   static constexpr u64 rotl(u64 x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

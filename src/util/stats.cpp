@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace pcs {
 
@@ -27,51 +26,5 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double mean_of(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double acc = 0.0;
-  for (double x : xs) acc += x;
-  return acc / static_cast<double>(xs.size());
-}
-
-double geomean_of(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double acc = 0.0;
-  for (double x : xs) acc += std::log(x);
-  return std::exp(acc / static_cast<double>(xs.size()));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram requires hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  const double f = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(f * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t bin) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += static_cast<double>(counts_[i]);
-    if (cum >= target) return bin_lo(i);
-  }
-  return hi_;
-}
 
 }  // namespace pcs

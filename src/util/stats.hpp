@@ -1,10 +1,6 @@
 // Lightweight descriptive statistics used by the simulator and benches.
 #pragma once
 
-#include <cstddef>
-#include <span>
-#include <vector>
-
 #include "util/types.hpp"
 
 namespace pcs {
@@ -31,34 +27,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Arithmetic mean of a span; 0 for an empty span.
-double mean_of(std::span<const double> xs) noexcept;
-
-/// Geometric mean; all inputs must be > 0. Returns 0 for an empty span.
-double geomean_of(std::span<const double> xs) noexcept;
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so every sample is counted.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  u64 total() const noexcept { return total_; }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  u64 count(std::size_t bin) const noexcept { return counts_.at(bin); }
-  /// Lower edge of a bin.
-  double bin_lo(std::size_t bin) const noexcept;
-  /// Smallest x with cumulative fraction >= q (empirical quantile).
-  double quantile(double q) const noexcept;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<u64> counts_;
-  u64 total_ = 0;
 };
 
 }  // namespace pcs

@@ -45,21 +45,6 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) emit_row(row);
 }
 
-void TextTable::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      const bool quote = row[c].find(',') != std::string::npos;
-      if (quote) os << '"';
-      os << row[c];
-      if (quote) os << '"';
-      if (c + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 namespace {
 std::string printf_str(const char* fmt, double v) {
   char buf[64];

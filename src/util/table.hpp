@@ -24,9 +24,6 @@ class TextTable {
   /// Renders with a separator line under the header.
   void print(std::ostream& os) const;
 
-  /// Renders as RFC-4180-ish CSV (cells containing commas are quoted).
-  void print_csv(std::ostream& os) const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -24,8 +24,7 @@ bool fast_math_active();
 /// The chain over a block of uniform draws: for each i,
 ///   u = u_draws[i]; if (u <= 0) u = 1e-300;
 ///   p = -expm1(log(u) / bits_per_block);
-///   vf_out[i] = float(mu + sigma * inv_q_function(p));
-/// bit-identical to CellFaultField::sample_fast_reference's inner loop.
+///   vf_out[i] = float(mu + sigma * inv_q_function(p)).
 void sample_vf_block(const double* u_draws, std::size_t count,
                      double bits_per_block, double mu, double sigma,
                      float* vf_out);

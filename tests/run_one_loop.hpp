@@ -1,6 +1,7 @@
 // The scalar oracle for experiment grids: run_one on each point, in grid
 // order. SweepRunner must reproduce its reports bit for bit and, traced,
-// its records byte for byte.
+// its records byte for byte. Also builds Monte-Carlo style point lists,
+// one die and one address stream per point.
 #pragma once
 
 #include <vector>
@@ -8,6 +9,7 @@
 #include "core/system.hpp"
 #include "exp/experiment_runner.hpp"
 #include "telemetry/trace_sink.hpp"
+#include "util/rng.hpp"
 
 namespace pcs {
 
@@ -37,6 +39,20 @@ inline std::vector<SimReport> run_one_loop(
     }
   }
   return reports;
+}
+
+/// `n` copies of `p`, copy i with its own die and address stream: chip
+/// seed derive_seed(chip, trace, i) and trace seed derive_seed(trace,
+/// chip, i), from p's (chip, trace) seed pair.
+inline std::vector<ExperimentPoint> replicate_point(const ExperimentPoint& p,
+                                                    u64 n) {
+  std::vector<ExperimentPoint> points(n, p);
+  for (u64 i = 0; i < n; ++i) {
+    points[i].index = i;
+    points[i].chip_seed = derive_seed(p.chip_seed, p.trace_seed, i);
+    points[i].trace_seed = derive_seed(p.trace_seed, p.chip_seed, i);
+  }
+  return points;
 }
 
 }  // namespace pcs

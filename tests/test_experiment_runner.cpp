@@ -1,10 +1,11 @@
-// Experiment engine: thread pool semantics, seed derivation, and the core
-// guarantee -- SweepRunner's parallel sweeps are bit-identical to the
-// serial run_one loop.
+// Experiment engine: thread pool and fan-out loop semantics, seed
+// derivation, and the core guarantee -- SweepRunner's parallel sweeps are
+// bit-identical to the serial run_one loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -107,6 +108,57 @@ TEST(ParallelIndexMap, SerialPathMatchesParallel) {
 }
 
 // ---------------------------------------------------------------------------
+// for_each_in_order
+
+TEST(ForEachInOrder, ConsumesInIndexOrderAndRethrowsLowestIndexError) {
+  constexpr u64 kN = 8;
+  const std::vector<u64> all = {0, 1, 2, 3, 4, 5, 6, 7};
+  for (const u32 threads : {1u, 4u}) {
+    // On the pool, call 0 finishes last: it waits for every other call.
+    std::latch others_done(kN - 1);
+    std::vector<u64> consumed;
+    const PoolCounters counters = for_each_in_order(
+        threads, kN,
+        [&](u64 i) {
+          if (threads > 1 && i == 0) others_done.wait();
+          if (threads > 1 && i != 0) others_done.count_down();
+          return 10 * i;
+        },
+        [&](u64 i, u64 r) {
+          EXPECT_EQ(r, 10 * i);
+          consumed.push_back(i);
+        });
+    EXPECT_EQ(consumed, all) << threads << " threads";
+    if (threads == 1) {
+      EXPECT_EQ(counters.steals, 0u);
+      EXPECT_EQ(counters.max_queue_depth, 0u);
+    }
+
+    // Calls 3 and 6 throw: 0-2 are consumed, call 3's error surfaces, and
+    // on the pool only once every call has finished.
+    consumed.clear();
+    std::atomic<u64> finished{0};
+    try {
+      for_each_in_order(
+          threads, kN,
+          [&](u64 i) {
+            finished.fetch_add(1);
+            if (i == 3 || i == 6) {
+              throw std::runtime_error("call " + std::to_string(i));
+            }
+            return i;
+          },
+          [&](u64 i, u64) { consumed.push_back(i); });
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "call 3") << threads << " threads";
+    }
+    EXPECT_EQ(consumed, (std::vector<u64>{0, 1, 2})) << threads << " threads";
+    EXPECT_EQ(finished.load(), threads > 1 ? kN : 4u) << threads << " threads";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Grid expansion
 
 TEST(ExperimentGrid, ExpandsConfigMajorWithSharedSeeds) {
@@ -137,54 +189,6 @@ TEST(ExperimentGrid, ExpandsConfigMajorWithSharedSeeds) {
     EXPECT_EQ(p.params.max_refs, 1000u);
   }
   for (u64 i = 0; i < pts.size(); ++i) EXPECT_EQ(pts[i].index, i);
-}
-
-TEST(ExperimentGrid, PerTaskSchemeDerivesDistinctSeeds) {
-  ExperimentGrid grid;
-  grid.add_config(SystemConfig::config_a())
-      .add_workload("hmmer")
-      .add_policy(PolicyKind::kBaseline)
-      .seeds(1, 42)
-      .replicates(16)
-      .seed_scheme(SeedScheme::kPerTask);
-  const auto pts = grid.expand();
-  ASSERT_EQ(pts.size(), 16u);
-  std::set<u64> chips, traces;
-  for (const auto& p : pts) {
-    chips.insert(p.chip_seed);
-    traces.insert(p.trace_seed);
-    EXPECT_EQ(p.chip_seed, derive_seed(1, 42, p.index));
-    EXPECT_EQ(p.trace_seed, derive_seed(42, 1, p.index));
-  }
-  EXPECT_EQ(chips.size(), 16u);
-  EXPECT_EQ(traces.size(), 16u);
-}
-
-// ---------------------------------------------------------------------------
-// RunAggregator
-
-TEST(RunAggregator, RestoresGridOrderAndRethrowsLowestIndexError) {
-  {
-    RunAggregator agg(3);
-    SimReport a, b, c;
-    a.workload = "a";
-    b.workload = "b";
-    c.workload = "c";
-    agg.put(2, c);  // completion order scrambled on purpose
-    agg.put(0, a);
-    agg.put(1, b);
-    const auto rows = agg.wait();
-    ASSERT_EQ(rows.size(), 3u);
-    EXPECT_EQ(rows[0].workload, "a");
-    EXPECT_EQ(rows[1].workload, "b");
-    EXPECT_EQ(rows[2].workload, "c");
-  }
-  {
-    RunAggregator agg(2);
-    agg.put(1, SimReport{});
-    agg.put_error(0, std::make_exception_ptr(std::runtime_error("boom")));
-    EXPECT_THROW(agg.wait(), std::runtime_error);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -237,13 +241,12 @@ TEST_F(DeterminismTest, PerTaskSchemeIsAlsoThreadCountInvariant) {
       .add_workload("hmmer")
       .add_policy(PolicyKind::kStatic)
       .seeds(1, 42)
-      .replicates(4)
-      .seed_scheme(SeedScheme::kPerTask)
       .params(rp);
+  const auto points = replicate_point(grid.expand()[0], 4);
   const auto serial =
-      SweepRunner({.num_threads = 1, .max_lanes = 16}).run(grid);
+      SweepRunner({.num_threads = 1, .max_lanes = 16}).run(points);
   const auto parallel =
-      SweepRunner({.num_threads = 8, .max_lanes = 16}).run(grid);
+      SweepRunner({.num_threads = 8, .max_lanes = 16}).run(points);
   ASSERT_EQ(serial.size(), 4u);
   EXPECT_EQ(serial, parallel);
   // Different dies: replicate runs must not all be identical.
@@ -259,8 +262,9 @@ TEST_F(DeterminismTest, WorkerExceptionSurfacesAtWait) {
       .add_workload("no-such-workload")  // spec_profile throws
       .add_policy(PolicyKind::kBaseline)
       .params(rp);
-  // The bad point fails its shard on a pool worker (RunAggregator::put_error
-  // -> wait) or inline on the serial path; either way the caller sees it.
+  // The bad point fails its shard on a pool worker (rethrown once the loop
+  // reaches its shard) or inline on the serial path; either way the caller
+  // sees it.
   EXPECT_THROW(SweepRunner({.num_threads = 4, .max_lanes = 16}).run(grid),
                std::invalid_argument);
   EXPECT_THROW(SweepRunner({.num_threads = 1, .max_lanes = 16}).run(grid),

@@ -43,17 +43,6 @@ bool same_float_bits(float a, float b) {
   return ua == ub;
 }
 
-void expect_fields_identical(const CellFaultField& fast,
-                             const CellFaultField& ref) {
-  ASSERT_EQ(fast.num_blocks(), ref.num_blocks());
-  for (u64 b = 0; b < fast.num_blocks(); ++b) {
-    const auto vf = static_cast<float>(fast.block_fail_voltage(b));
-    const auto vr = static_cast<float>(ref.block_fail_voltage(b));
-    ASSERT_TRUE(same_float_bits(vf, vr))
-        << "block " << b << ": " << vf << " vs " << vr;
-  }
-}
-
 void expect_rng_state_identical(Rng& a, Rng& b) {
   // Indirect state probe: identical internal state iff the next draws agree.
   for (int i = 0; i < 8; ++i) ASSERT_EQ(a.next_u64(), b.next_u64());
@@ -96,34 +85,6 @@ TEST(RngBlocks, GaussianBlockScaledMatchesScalarSequence) {
     ASSERT_EQ(block[i], scalar[i]);
   }
   expect_rng_state_identical(a, b);
-}
-
-TEST(FaultEquivalence, SampleFastMatchesReference) {
-  const BerModel ber(Technology::soi45());
-  for (u64 blocks : {1ull, 63ull, 4096ull, 4097ull, 20000ull}) {
-    for (u32 bits : {64u, 512u}) {
-      Rng ra(blocks * 31 + bits), rb(blocks * 31 + bits);
-      const auto fast = CellFaultField::sample_fast(ber, blocks, bits, ra);
-      const auto ref =
-          CellFaultField::sample_fast_reference(ber, blocks, bits, rb);
-      expect_fields_identical(fast, ref);
-      expect_rng_state_identical(ra, rb);
-    }
-  }
-}
-
-TEST(FaultEquivalence, SampleExactMatchesReference) {
-  const BerModel ber(Technology::soi45());
-  for (u64 blocks : {1ull, 17ull, 256ull}) {
-    for (u32 bits : {1u, 7u, 64u, 513u}) {
-      Rng ra(blocks * 131 + bits), rb(blocks * 131 + bits);
-      const auto exact = CellFaultField::sample_exact(ber, blocks, bits, ra);
-      const auto ref =
-          CellFaultField::sample_exact_reference(ber, blocks, bits, rb);
-      expect_fields_identical(exact, ref);
-      expect_rng_state_identical(ra, rb);
-    }
-  }
 }
 
 // Table 2 evaluates N in {1, 2, 3, 4, 8}; sweep those level counts with the

@@ -31,12 +31,6 @@ TEST(QFunction, Monotone) {
   }
 }
 
-TEST(NormalCdf, ComplementsQ) {
-  for (double x : {-2.0, -0.3, 0.0, 1.7, 4.2}) {
-    EXPECT_NEAR(normal_cdf(x) + q_function(x), 1.0, 1e-12);
-  }
-}
-
 class InvQRoundtrip : public ::testing::TestWithParam<double> {};
 
 TEST_P(InvQRoundtrip, QOfInvQIsIdentity) {

@@ -4,15 +4,15 @@
 
 #include <algorithm>
 #include <ostream>
-#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "baselines/fft_cache.hpp"
+#include "cache/cache_level.hpp"
 #include "cachemodel/cache_power_model.hpp"
 #include "core/mechanism.hpp"
 #include "core/vdd_levels.hpp"
-#include "exp/sweep_engine.hpp"
 #include "fault/cell_fault_field.hpp"
 #include "fault/fault_map.hpp"
 #include "fault/yield_model.hpp"
@@ -237,12 +237,12 @@ INSTANTIATE_TEST_SUITE_P(Grid, VoltSweep,
                                            0.95));
 
 // ---------------------------------------------------------------------------
-// Property: per-lane fault inclusion through the sweep engine. One die, one
-// lane per candidate VDD (descending): a lower VDD can only add faulty
-// blocks, so each lane's faulty masks are per-set supersets of the lane
-// above it, effective capacity is non-increasing -- and, because the lanes
-// run true LRU over nested usable-way sets, the LRU stack property makes
-// demand hits on the SAME address stream non-increasing as well.
+// Property: per-lane fault inclusion. One die, one cache per candidate VDD
+// (descending): a lower VDD can only add faulty blocks, so each lane's
+// faulty masks are per-set supersets of the lane above it, effective
+// capacity is non-increasing -- and, because the lanes run true LRU over
+// nested usable-way sets, the LRU stack property makes demand hits on the
+// SAME address stream non-increasing as well.
 class LaneSweepProps : public ::testing::TestWithParam<u64> {};
 
 TEST_P(LaneSweepProps, FaultInclusionMonotoneAcrossVddLanes) {
@@ -253,24 +253,22 @@ TEST_P(LaneSweepProps, FaultInclusionMonotoneAcrossVddLanes) {
                                                  org.bits_per_block(), rng);
 
   const std::vector<Volt> vdd = {1.0, 0.85, 0.75, 0.70, 0.65, 0.60, 0.55};
-  std::vector<CacheLaneSweep::LaneSpec> specs;
+  std::vector<CacheLevel> lanes;
+  lanes.reserve(vdd.size());
   for (std::size_t l = 0; l < vdd.size(); ++l) {
-    specs.push_back({"v" + std::to_string(l), org, "lru"});
-  }
-  CacheLaneSweep lanes(specs);
-  for (std::size_t l = 0; l < vdd.size(); ++l) {
+    CacheLevel& c = lanes.emplace_back("v" + std::to_string(l), org, 1);
     for (u64 s = 0; s < org.num_sets(); ++s) {
       for (u32 w = 0; w < org.assoc; ++w) {
         if (!(vdd[l] > field.block_fail_voltage(s * org.assoc + w))) {
-          lanes.lane(static_cast<u32>(l)).set_block_faulty(s, w, true);
+          c.set_block_faulty(s, w, true);
         }
       }
     }
   }
 
   for (std::size_t l = 1; l < vdd.size(); ++l) {
-    const CacheLevel& hi = lanes.lane(static_cast<u32>(l - 1));
-    const CacheLevel& lo = lanes.lane(static_cast<u32>(l));
+    const CacheLevel& hi = lanes[l - 1];
+    const CacheLevel& lo = lanes[l];
     for (u64 s = 0; s < org.num_sets(); ++s) {
       ASSERT_EQ(hi.faulty_mask(s) & lo.faulty_mask(s), hi.faulty_mask(s))
           << "set " << s << ": lane at " << vdd[l]
@@ -282,88 +280,16 @@ TEST_P(LaneSweepProps, FaultInclusionMonotoneAcrossVddLanes) {
   // Same decoded stream into every lane; recency state over nested
   // usable-way sets => the deeper lane can never out-hit the shallower one.
   Rng ops(GetParam() ^ 0x1a9e5u);
-  CacheOp op;
-  op.kind = CacheOp::Kind::kAccess;
   for (u64 n = 0; n < 200'000; ++n) {
     const u64 r = ops.next_u64();
-    op.addr = (r >> 7) & (4 * 64 * 1024 - 1);
-    op.write = (r >> 6) & 1;
-    lanes.step(op);
+    for (CacheLevel& c : lanes) {
+      c.access((r >> 7) & (4 * 64 * 1024 - 1), (r >> 6) & 1);
+    }
   }
   for (std::size_t l = 1; l < vdd.size(); ++l) {
-    EXPECT_LE(lanes.lane(static_cast<u32>(l)).stats().hits,
-              lanes.lane(static_cast<u32>(l - 1)).stats().hits)
+    EXPECT_LE(lanes[l].stats().hits, lanes[l - 1].stats().hits)
         << "lane at " << vdd[l] << " V out-hit the lane at " << vdd[l - 1]
         << " V on the same stream";
-  }
-}
-
-// Property: a lane's results depend only on its own spec and the op
-// stream -- never on which other lanes share the sweep, their order, or
-// the lane count. Runs the same stream through a heterogeneous sweep, the
-// same sweep reversed, and each lane solo, then matches state by name.
-TEST_P(LaneSweepProps, LaneResultsInvariantToOrderAndPopulation) {
-  const std::vector<CacheLaneSweep::LaneSpec> specs = {
-      {"p4", {16 * 1024, 4, 64, 31}, "tree-plru"},
-      {"l16", {64 * 1024, 16, 64, 31}, "lru"},
-      {"l17", {64 * 17 * 64, 17, 64, 31}, "lru"},
-      {"l1", {4 * 1024, 1, 64, 31}, "lru"},
-  };
-  std::vector<CacheLaneSweep::LaneSpec> reversed(specs.rbegin(),
-                                                 specs.rend());
-
-  auto drive = [&](CacheLaneSweep& sweep) {
-    Rng rng(GetParam() ^ 0x0d3au);
-    CacheOp op;
-    for (u64 n = 0; n < 150'000; ++n) {
-      const u64 r = rng.next_u64();
-      const u64 pick = r % 100;
-      if (pick < 75) {
-        op.kind = CacheOp::Kind::kAccess;
-        op.addr = (r >> 7) & (256 * 1024 - 1);
-        op.write = (r >> 6) & 1;
-      } else if (pick < 85) {
-        op.kind = CacheOp::Kind::kWriteback;
-        op.addr = (r >> 7) & (256 * 1024 - 1);
-      } else {
-        op.kind = CacheOp::Kind::kSetFaulty;
-        op.set = (r >> 7) & 0xFFFF;
-        op.way = static_cast<u32>(r >> 32) % 32;
-        op.faulty = (r >> 6) & 1;
-      }
-      sweep.step(op);
-    }
-  };
-
-  CacheLaneSweep fwd(specs);
-  CacheLaneSweep rev(reversed);
-  drive(fwd);
-  drive(rev);
-
-  auto lane_by_name = [](CacheLaneSweep& s, const std::string& name)
-      -> CacheLevel& {
-    for (u32 i = 0; i < s.num_lanes(); ++i) {
-      if (s.lane(i).name() == name) return s.lane(i);
-    }
-    throw std::logic_error("no lane " + name);
-  };
-  auto expect_same = [](const CacheLevel& a, const CacheLevel& b) {
-    ASSERT_EQ(a.stats(), b.stats()) << a.name();
-    ASSERT_EQ(a.faulty_block_count(), b.faulty_block_count()) << a.name();
-    for (u64 s = 0; s < a.org().num_sets(); ++s) {
-      ASSERT_EQ(a.valid_mask(s), b.valid_mask(s)) << a.name() << " " << s;
-      ASSERT_EQ(a.dirty_mask(s), b.dirty_mask(s)) << a.name() << " " << s;
-      ASSERT_EQ(a.faulty_mask(s), b.faulty_mask(s)) << a.name() << " " << s;
-    }
-  };
-
-  for (const auto& sp : specs) {
-    // Order invariance: same lane, forward vs reversed sweep.
-    expect_same(lane_by_name(fwd, sp.name), lane_by_name(rev, sp.name));
-    // Population invariance: same lane running solo (lane count 1).
-    CacheLaneSweep solo({sp});
-    drive(solo);
-    expect_same(solo.lane(0), lane_by_name(fwd, sp.name));
   }
 }
 

@@ -123,24 +123,6 @@ TEST(Rng, GaussianTailProbability) {
   EXPECT_NEAR(static_cast<double>(beyond2) / n, 0.02275, 0.002);
 }
 
-TEST(Rng, ForkDecorrelates) {
-  Rng parent(41);
-  Rng a = parent.fork(0);
-  Rng b = parent.fork(1);
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (a.next_u64() == b.next_u64()) ++equal;
-  }
-  EXPECT_LT(equal, 2);
-}
-
-TEST(Rng, ForkDeterministic) {
-  Rng p1(43), p2(43);
-  Rng a = p1.fork(9);
-  Rng b = p2.fork(9);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-}
-
 TEST(Rng, NoShortCycles) {
   Rng r(47);
   std::set<u64> seen;

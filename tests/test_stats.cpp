@@ -1,11 +1,7 @@
-// Unit tests for RunningStats, Histogram, and aggregate helpers.
+// Unit tests for RunningStats.
 #include "util/stats.hpp"
 
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <stdexcept>
-#include <vector>
 
 namespace pcs {
 namespace {
@@ -54,61 +50,6 @@ TEST(RunningStats, NumericallyStableForLargeOffsets) {
   for (int i = 0; i < 1000; ++i) s.add(1e9 + (i % 2));
   EXPECT_NEAR(s.mean(), 1e9 + 0.5, 1e-3);
   EXPECT_NEAR(s.variance(), 0.25025, 1e-3);
-}
-
-TEST(MeanOf, Basic) {
-  std::vector<double> v{1.0, 2.0, 3.0};
-  EXPECT_NEAR(mean_of(v), 2.0, 1e-12);
-  EXPECT_EQ(mean_of({}), 0.0);
-}
-
-TEST(GeomeanOf, Basic) {
-  std::vector<double> v{1.0, 8.0};
-  EXPECT_NEAR(geomean_of(v), std::sqrt(8.0), 1e-12);
-  EXPECT_EQ(geomean_of({}), 0.0);
-}
-
-TEST(GeomeanOf, InvariantUnderScaling) {
-  std::vector<double> a{0.5, 0.7, 0.9};
-  std::vector<double> b{5.0, 7.0, 9.0};
-  EXPECT_NEAR(geomean_of(b) / geomean_of(a), 10.0, 1e-9);
-}
-
-TEST(Histogram, RejectsBadArgs) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(-5.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to bin 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-  for (std::size_t b = 1; b < 9; ++b) EXPECT_EQ(h.count(b), 0u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(1.0, 3.0, 4);
-  EXPECT_NEAR(h.bin_lo(0), 1.0, 1e-12);
-  EXPECT_NEAR(h.bin_lo(2), 2.0, 1e-12);
-}
-
-TEST(Histogram, QuantileOfUniformFill) {
-  Histogram h(0.0, 1.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add((i + 0.5) / 1000.0);
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 0.02);
-}
-
-TEST(Histogram, QuantileEmpty) {
-  Histogram h(2.0, 4.0, 8);
-  EXPECT_EQ(h.quantile(0.5), 2.0);
 }
 
 }  // namespace

@@ -1,27 +1,32 @@
 // Differential wall for the lane-parallel sweep engine.
 //
-// Tier A: ~1M randomized operations driven simultaneously through a
-// CacheLaneSweep and through per-lane scalar CacheLevels constructed from
-// the same specs. The lane grid samples associativities 1/16/17/24/32 under
-// both replacement policies (tree-PLRU where legal) and accumulates random
-// faulty-bit patterns, including fully-faulty sets, so the bypass path is
-// exercised. Every AccessResult, every stats counter, and the complete
-// per-block state must match bit for bit -- the scalar single-config engine
-// IS the specification.
+// Arena caches: ~1M randomized operations driven simultaneously through
+// CacheLevels carved from one CacheArena -- the storage SweepRunner packs
+// each shard's lanes into -- and through CacheLevels that own their
+// storage. The arena is packed twice, in spec order and reversed, so a
+// cache's results must not depend on its arena neighbours or their order.
+// The shapes sample associativities 1/16/17/24/32 under both replacement
+// policies (tree-PLRU where legal) and accumulate random faulty-bit
+// patterns, including fully-faulty sets, so the bypass path is exercised.
+// Every AccessResult, every stats counter, and the complete per-block state
+// must match bit for bit -- the owned-storage CacheLevel IS the
+// specification.
 //
-// Tier B: a small Fig. 4-shaped grid executed by SweepRunner at several
-// (thread count x lane count) shapes must reproduce a run_one loop's
-// SimReports exactly (field-wise ==, including the energy breakdowns),
-// pinning the fused step/tick loop, the measurement windowing, and the
-// shard decomposition.
+// Grid sweeps: a small Fig. 4-shaped grid executed by SweepRunner at
+// several (thread count x lane count) shapes must reproduce a run_one
+// loop's SimReports exactly (field-wise ==, including the energy
+// breakdowns), pinning the fused step/tick loop, the measurement
+// windowing, and the shard decomposition.
 #include "exp/sweep_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cache/cache_arena.hpp"
 #include "cache/cache_level.hpp"
 #include "core/system.hpp"
 #include "exp/experiment_runner.hpp"
@@ -33,9 +38,15 @@
 namespace pcs {
 namespace {
 
-// ---- Tier A -----------------------------------------------------------------
+// ---- Arena caches ---------------------------------------------------------
 
-std::vector<CacheLaneSweep::LaneSpec> lane_grid() {
+struct CacheSpec {
+  std::string name;
+  CacheOrg org;
+  const char* replacement;
+};
+
+std::vector<CacheSpec> cache_specs() {
   // size = sets * assoc * 64 with power-of-two sets; odd widths (17, 24)
   // take the wide byte-rank LRU, tree-PLRU only where assoc is 2^k.
   return {
@@ -50,20 +61,29 @@ std::vector<CacheLaneSweep::LaneSpec> lane_grid() {
   };
 }
 
-/// The scalar half of the differential: applies the op through the public
-/// single-config entry points with the same set/way reduction the sweep
-/// engine documents.
-CacheLevel::AccessResult apply_scalar(CacheLevel& c, const CacheOp& op) {
+/// One randomized operation. Set/way-addressed kinds are reduced modulo
+/// each cache's own shape, so one stream exercises every shape.
+struct Op {
+  enum class Kind : u8 { kAccess, kWriteback, kSetFaulty, kInvalidate };
+  Kind kind = Kind::kAccess;
+  bool write = false;   ///< kAccess only
+  bool faulty = false;  ///< kSetFaulty only
+  u64 addr = 0;         ///< kAccess / kWriteback
+  u64 set = 0;          ///< kSetFaulty / kInvalidate
+  u32 way = 0;          ///< kSetFaulty / kInvalidate
+};
+
+CacheLevel::AccessResult apply(CacheLevel& c, const Op& op) {
   switch (op.kind) {
-    case CacheOp::Kind::kAccess:
+    case Op::Kind::kAccess:
       return c.access(op.addr, op.write);
-    case CacheOp::Kind::kWriteback:
+    case Op::Kind::kWriteback:
       return c.receive_writeback(op.addr);
-    case CacheOp::Kind::kSetFaulty:
+    case Op::Kind::kSetFaulty:
       c.set_block_faulty(op.set & (c.org().num_sets() - 1),
                          op.way % c.org().assoc, op.faulty);
       return {};
-    case CacheOp::Kind::kInvalidate:
+    case Op::Kind::kInvalidate:
       c.invalidate(op.set & (c.org().num_sets() - 1),
                    op.way % c.org().assoc);
       return {};
@@ -71,38 +91,38 @@ CacheLevel::AccessResult apply_scalar(CacheLevel& c, const CacheOp& op) {
   return {};
 }
 
-CacheOp random_op(Rng& rng, u64 addr_mask) {
+Op random_op(Rng& rng, u64 addr_mask) {
   const u64 r = rng.next_u64();
   const u64 pick = r % 100;
-  CacheOp op;
+  Op op;
   if (pick < 70) {
-    op.kind = CacheOp::Kind::kAccess;
+    op.kind = Op::Kind::kAccess;
     op.addr = (r >> 7) & addr_mask;
     op.write = (r >> 6) & 1;
   } else if (pick < 80) {
-    op.kind = CacheOp::Kind::kWriteback;
+    op.kind = Op::Kind::kWriteback;
     op.addr = (r >> 7) & addr_mask;
   } else if (pick < 95) {
-    op.kind = CacheOp::Kind::kSetFaulty;
+    op.kind = Op::Kind::kSetFaulty;
     op.set = (r >> 7) & 0xFFFF;
     op.way = static_cast<u32>(r >> 32) % 32;
     op.faulty = (r >> 6) & 1;
   } else {
-    op.kind = CacheOp::Kind::kInvalidate;
+    op.kind = Op::Kind::kInvalidate;
     op.set = (r >> 7) & 0xFFFF;
     op.way = static_cast<u32>(r >> 32) % 32;
   }
   return op;
 }
 
-/// Marks sets 0 and 1 of every lane fully faulty through the op stream
-/// (ways 0..31 reduce onto every way of every lane).
-std::vector<CacheOp> all_faulty_prelude() {
-  std::vector<CacheOp> ops;
+/// Marks sets 0 and 1 of every cache fully faulty through the op stream
+/// (ways 0..31 reduce onto every way of every cache).
+std::vector<Op> all_faulty_prelude() {
+  std::vector<Op> ops;
   for (u64 set = 0; set < 2; ++set) {
     for (u32 way = 0; way < 32; ++way) {
-      CacheOp op;
-      op.kind = CacheOp::Kind::kSetFaulty;
+      Op op;
+      op.kind = Op::Kind::kSetFaulty;
       op.set = set;
       op.way = way;
       op.faulty = true;
@@ -110,6 +130,25 @@ std::vector<CacheOp> all_faulty_prelude() {
     }
   }
   return ops;
+}
+
+/// The caches of `specs` carved from `arena` in spec order, or in reverse
+/// order when `reversed`; returned in spec order either way.
+std::vector<CacheLevel> arena_caches(const std::vector<CacheSpec>& specs,
+                                     bool reversed, CacheArena& arena) {
+  CacheArena::Spec total;
+  for (const auto& sp : specs) {
+    total += CacheLevel::storage_spec(sp.org, sp.replacement);
+  }
+  arena.reserve(total);
+  std::vector<CacheLevel> caches;
+  caches.reserve(specs.size());
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    const CacheSpec& sp = specs[reversed ? specs.size() - 1 - k : k];
+    caches.emplace_back(sp.name, sp.org, 1, sp.replacement, &arena);
+  }
+  if (reversed) std::reverse(caches.begin(), caches.end());
+  return caches;
 }
 
 void expect_state_equal(const CacheLevel& got, const CacheLevel& want,
@@ -130,71 +169,57 @@ void expect_state_equal(const CacheLevel& got, const CacheLevel& want,
 }
 
 TEST(SweepLanes, MillionMixedOpsMatchScalarPerOp) {
-  const auto specs = lane_grid();
-  CacheLaneSweep sweep(specs);
+  const auto specs = cache_specs();
+  CacheArena fwd_arena, rev_arena;
+  std::vector<std::vector<CacheLevel>> packings;
+  packings.push_back(arena_caches(specs, false, fwd_arena));
+  packings.push_back(arena_caches(specs, true, rev_arena));
+  const char* const packing_name[] = {"spec order", "reversed"};
 
-  std::vector<CacheLevel> scalar;
-  scalar.reserve(specs.size());
+  std::vector<CacheLevel> owned;
+  owned.reserve(specs.size());
   for (const auto& sp : specs) {
-    scalar.emplace_back(sp.name, sp.org, 1, sp.replacement);
+    owned.emplace_back(sp.name, sp.org, 1, sp.replacement);
   }
 
-  // 4x the largest lane so misses, evictions, and writebacks all fire.
+  // 4x the largest cache so misses, evictions, and writebacks all fire.
   const u64 addr_mask = 4 * 256 * 1024 - 1;
-  std::vector<CacheLevel::AccessResult> got(specs.size());
+  auto step = [&](const Op& op, u64 n) {
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      const auto want = apply(owned[i], op);
+      for (std::size_t k = 0; k < packings.size(); ++k) {
+        ASSERT_EQ(apply(packings[k][i], op), want)
+            << "op " << n << " cache " << specs[i].name << " packed in "
+            << packing_name[k];
+      }
+    }
+  };
 
-  for (const auto& op : all_faulty_prelude()) {
-    sweep.step(op, got.data());
-    for (std::size_t i = 0; i < scalar.size(); ++i) apply_scalar(scalar[i], op);
-  }
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    ASSERT_EQ(sweep.lane(static_cast<u32>(i)).faulty_mask(0),
-              scalar[i].way_mask())
-        << "set 0 of " << specs[i].name << " should be fully faulty";
+  for (const auto& op : all_faulty_prelude()) step(op, 0);
+  if (HasFatalFailure()) return;
+  for (const auto& caches : packings) {
+    for (std::size_t i = 0; i < caches.size(); ++i) {
+      ASSERT_EQ(caches[i].faulty_mask(0), caches[i].way_mask())
+          << "set 0 of " << specs[i].name << " should be fully faulty";
+    }
   }
 
   Rng rng(0xC0FFEE);
   const u64 kOps = 1'000'000;
   for (u64 n = 0; n < kOps; ++n) {
-    const CacheOp op = random_op(rng, addr_mask);
-    sweep.step(op, got.data());
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      const auto want = apply_scalar(scalar[i], op);
-      ASSERT_EQ(got[i], want)
-          << "op " << n << " lane " << specs[i].name;
-    }
+    step(random_op(rng, addr_mask), n);
+    if (HasFatalFailure()) return;
   }
 
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    expect_state_equal(sweep.lane(static_cast<u32>(i)), scalar[i],
-                       specs[i].name);
+  for (std::size_t k = 0; k < packings.size(); ++k) {
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      expect_state_equal(packings[k][i], owned[i],
+                         specs[i].name + " packed in " + packing_name[k]);
+    }
   }
 }
 
-TEST(SweepLanes, BlockReplayMatchesPerOpStep) {
-  const auto specs = lane_grid();
-  CacheLaneSweep stepped(specs);
-  CacheLaneSweep replayed(specs);
-
-  const u64 addr_mask = 4 * 256 * 1024 - 1;
-  Rng rng(0xBADF00D);
-  std::vector<CacheOp> block;
-  const u64 kOps = 200'000;
-  for (u64 n = 0; n < kOps; ++n) {
-    const CacheOp op = random_op(rng, addr_mask);
-    stepped.step(op);
-    block.push_back(op);
-    if (block.size() == 333 || n + 1 == kOps) {
-      replayed.replay(block.data(), block.size());
-      block.clear();
-    }
-  }
-  for (u32 i = 0; i < stepped.num_lanes(); ++i) {
-    expect_state_equal(replayed.lane(i), stepped.lane(i), specs[i].name);
-  }
-}
-
-// ---- Tier B -----------------------------------------------------------------
+// ---- Grid sweeps -------------------------------------------------------------
 
 std::vector<ExperimentPoint> small_grid() {
   RunParams rp;
@@ -246,11 +271,9 @@ TEST(SweepSystem, PerTaskSeedsDegradeToSingleLaneGroups) {
   grid.add_config(SystemConfig::config_a())
       .add_workload("hmmer")
       .add_policy(PolicyKind::kDynamic)
-      .replicates(4)
-      .seed_scheme(SeedScheme::kPerTask)
       .seeds(1, 42)
       .params(rp);
-  const auto points = grid.expand();
+  const auto points = replicate_point(grid.expand()[0], 4);
   const auto want = run_one_loop(points);
   SweepOptions opt;
   opt.num_threads = 2;

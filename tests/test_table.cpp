@@ -34,14 +34,6 @@ TEST(TextTable, PrintsAlignedColumns) {
   EXPECT_NE(s.find("longer  22"), std::string::npos);
 }
 
-TEST(TextTable, CsvEscapesCommas) {
-  TextTable t({"a", "b"});
-  t.add_row({"x,y", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_NE(os.str().find("\"x,y\",2"), std::string::npos);
-}
-
 TEST(TextTable, RowCount) {
   TextTable t({"a"});
   EXPECT_EQ(t.rows(), 0u);

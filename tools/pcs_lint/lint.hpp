@@ -27,8 +27,8 @@
 //             hash-table order must not reach output
 //   DET003    no std::rand / random_device / local std::mt19937 outside
 //             src/util/rng.* -- all randomness flows through derive_seed/Rng
-//   DET004    no float/double std::atomic accumulation outside RunAggregator
-//             (src/exp/experiment_runner.*) -- associativity determinism
+//   DET004    no float/double std::atomic accumulation -- associativity
+//             determinism (reduce in index order instead)
 //   DET006    no thread-id / pointer-address values (this_thread::get_id,
 //             reinterpret_cast<uintptr_t>, "%p" format strings) --
 //             scheduler/ASLR-dependent bytes

@@ -266,14 +266,8 @@ void rule_det003(const std::string& path, const std::vector<Token>& toks,
 
 // ---------------------------------------------------------------- DET004 --
 
-bool det004_exempt(const std::string& path) {
-  return path_ends_with(path, "src/exp/experiment_runner.hpp") ||
-         path_ends_with(path, "src/exp/experiment_runner.cpp");
-}
-
 void rule_det004(const std::string& path, const std::vector<Token>& toks,
                  std::vector<Diagnostic>& diags) {
-  if (det004_exempt(path)) return;
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
     if (!is_ident(toks[i], "atomic") || !is_punct(toks[i + 1], "<")) continue;
     const size_t end = skip_template_args(toks, i + 1);
@@ -282,7 +276,7 @@ void rule_det004(const std::string& path, const std::vector<Token>& toks,
         add(diags, "DET004", path, toks[i].line,
             "std::atomic<" + toks[j].text +
                 "> accumulation is order-dependent (float addition is not "
-                "associative); reduce via RunAggregator instead");
+                "associative); reduce in index order instead");
         break;
       }
     }
@@ -404,9 +398,8 @@ const std::vector<RuleInfo>& rule_registry() {
       {"DET001", "no wall-clock/time sources (replay determinism)"},
       {"DET002", "no unordered-container iteration (ordering determinism)"},
       {"DET003", "all randomness flows through derive_seed/Rng"},
-      {"DET004",
-       "no float/double atomic accumulation outside RunAggregator "
-       "(associativity determinism)"},
+      {"DET004", "no float/double atomic accumulation (associativity "
+                 "determinism)"},
       {"DET006",
        "no thread-id / pointer-address values (scheduler/ASLR "
        "determinism)"},
