@@ -67,7 +67,9 @@ void BM_HierarchyAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_HierarchyAccess);
 
-void BM_TraceGeneration(benchmark::State& state) {
+/// The full gcc generator, instruction-fetch walk included
+/// (BM_SyntheticDataAddr suppresses that walk).
+void BM_SyntheticGcc(benchmark::State& state) {
   auto trace = make_spec_trace("gcc", 7);
   TraceEvent e;
   for (auto _ : state) {
@@ -76,7 +78,7 @@ void BM_TraceGeneration(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TraceGeneration);
+BENCHMARK(BM_SyntheticGcc);
 
 void BM_FaultFieldSampling(benchmark::State& state) {
   const BerModel ber(Technology::soi45());
@@ -641,6 +643,23 @@ const Fixture& fixture() {
   return fx;
 }
 
+/// Replays events held in memory, so a record bench times the writer alone.
+class MemoryTrace final : public TraceSource {
+ public:
+  explicit MemoryTrace(const std::vector<TraceEvent>& events)
+      : events_(events) {}
+  bool next(TraceEvent& out) override {
+    if (pos_ == events_.size()) return false;
+    out = events_[pos_++];
+    return true;
+  }
+  const char* name() const override { return "gcc"; }
+
+ private:
+  const std::vector<TraceEvent>& events_;
+  std::size_t pos_ = 0;
+};
+
 }  // namespace trace_bench
 
 /// The text replay path (workload/trace_file): lines found with memchr in
@@ -708,6 +727,25 @@ void BM_PcstEncodeBlock(benchmark::State& state) {
                           static_cast<i64>(evs.size()));
 }
 BENCHMARK(BM_PcstEncodeBlock);
+
+/// The text record path (workload/trace_file): 200k in-memory gcc events
+/// rendered into a temp file, one line per event.
+void BM_TextTraceRecord(benchmark::State& state) {
+  auto src = make_spec_trace("gcc", 42);
+  std::vector<TraceEvent> evs(200'000);
+  for (auto& e : evs) src->next(e);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "bench_text_record.trace")
+          .string();
+  for (auto _ : state) {
+    trace_bench::MemoryTrace mem(evs);
+    benchmark::DoNotOptimize(record_trace(mem, path, evs.size()));
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<i64>(evs.size()));
+}
+BENCHMARK(BM_TextTraceRecord);
 
 void BM_MarchSsBist(benchmark::State& state) {
   const BerModel ber(Technology::soi45());

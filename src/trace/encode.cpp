@@ -1,5 +1,6 @@
 #include "trace/encode.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -39,11 +40,25 @@ void encode_pcst_block(const TraceEvent* events, u32 n, std::string& out) {
   }
   pcst::put_varint(out, n);
 
+  // One pass over the events: each one's kind and its address delta
+  // against the previous event of the same kind (contexts reset per block).
+  u8 kinds[pcst::kEventsPerBlock];
+  u64 deltas[pcst::kEventsPerBlock];
+  u64 last[pcst::kNumKinds] = {0, 0, 0};
+  u64 any = 0;
+  for (u32 i = 0; i < n; ++i) {
+    const u8 k = kind_code(events[i]);
+    kinds[i] = k;
+    deltas[i] = events[i].ref.addr - last[k];  // mod 2^64
+    any |= deltas[i];
+    last[k] = events[i].ref.addr;
+  }
+
   // Packed 2-bit kinds, 4 per byte.
   for (u32 i = 0; i < n; i += 4) {
     u8 packed = 0;
     for (u32 j = 0; j < 4 && i + j < n; ++j) {
-      packed = static_cast<u8>(packed | (kind_code(events[i + j]) << (2 * j)));
+      packed = static_cast<u8>(packed | (kinds[i + j] << (2 * j)));
     }
     out.push_back(static_cast<char>(packed));
   }
@@ -52,39 +67,34 @@ void encode_pcst_block(const TraceEvent* events, u32 n, std::string& out) {
   // Deltas share the block's common power-of-two alignment (`shift`), then
   // their zig-zags go through a bit-packed lane of the cost-optimal `width`
   // with varint exceptions for the tail of the distribution (format.hpp).
-  u64 deltas[pcst::kEventsPerBlock];
-  u64 last[pcst::kNumKinds] = {0, 0, 0};
-  u64 any = 0;
-  for (u32 i = 0; i < n; ++i) {
-    const u8 k = kind_code(events[i]);
-    deltas[i] = events[i].ref.addr - last[k];  // mod 2^64
-    any |= deltas[i];
-    last[k] = events[i].ref.addr;
-  }
+  // The cost of every width comes from one histogram of the zig-zags' bit
+  // widths; past the widest value a width only adds packed bytes, and the
+  // strict `<` keeps the smallest of equally cheap widths.
   const u32 shift =
       any == 0 ? 0 : static_cast<u32>(std::countr_zero(any));
-
   u64 zz[pcst::kEventsPerBlock];
-  last[0] = last[1] = last[2] = 0;
+  u32 count_by_bits[65] = {};
   for (u32 i = 0; i < n; ++i) {
-    const u8 k = kind_code(events[i]);
-    zz[i] = pcst::zigzag_delta_shifted(last[k], events[i].ref.addr, shift);
-    last[k] = events[i].ref.addr;
+    zz[i] = pcst::zigzag_delta_shifted(deltas[i], shift);
+    ++count_by_bits[std::bit_width(zz[i])];
   }
+  u32 top = 64;
+  while (top > 0 && count_by_bits[top] == 0) --top;
 
   u32 width = 0;
   u64 best_cost = ~0ULL;
-  for (u32 w = 0; w <= pcst::kMaxPackWidth; ++w) {
+  for (u32 w = 0; w <= std::min(top, pcst::kMaxPackWidth); ++w) {
     u64 cost = (static_cast<u64>(n) * w + 7) / 8;
-    for (u32 i = 0; i < n; ++i) {
-      const u64 high = w >= 64 ? 0 : zz[i] >> w;
-      if (high != 0) cost += 1 + pcst::varint_len(high);
+    for (u32 b = w + 1; b <= top; ++b) {
+      cost += static_cast<u64>(count_by_bits[b]) * (1 + (b - w + 6) / 7);
     }
     if (cost < best_cost) {
       best_cost = cost;
       width = w;
     }
   }
+  u64 num_exceptions = 0;
+  for (u32 b = width + 1; b <= top; ++b) num_exceptions += count_by_bits[b];
 
   out.push_back(static_cast<char>(shift));
   out.push_back(static_cast<char>(width));
@@ -102,10 +112,6 @@ void encode_pcst_block(const TraceEvent* events, u32 n, std::string& out) {
   }
   if (bits > 0) out.push_back(static_cast<char>(acc & 0xff));
 
-  u64 num_exceptions = 0;
-  for (u32 i = 0; i < n; ++i) {
-    if ((zz[i] >> width) != 0) ++num_exceptions;
-  }
   pcst::put_varint(out, num_exceptions);
   for (u32 i = 0; i < n; ++i) {
     const u64 high = zz[i] >> width;
@@ -216,14 +222,14 @@ void PcstWriter::append(const TraceEvent& ev) {
 
 void PcstWriter::flush_block() {
   if (block_.empty()) return;
-  std::string payload;
-  encode_pcst_block(block_.data(), static_cast<u32>(block_.size()), payload);
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  index_.push_back({offset_, static_cast<u32>(payload.size()),
+  payload_.clear();
+  encode_pcst_block(block_.data(), static_cast<u32>(block_.size()), payload_);
+  out_.write(payload_.data(), static_cast<std::streamsize>(payload_.size()));
+  index_.push_back({offset_, static_cast<u32>(payload_.size()),
                     static_cast<u32>(block_.size()),
-                    pcst::fnv1a(reinterpret_cast<const u8*>(payload.data()),
-                                payload.size())});
-  offset_ += payload.size();
+                    pcst::fnv1a(reinterpret_cast<const u8*>(payload_.data()),
+                                payload_.size())});
+  offset_ += payload_.size();
   block_.clear();
 }
 

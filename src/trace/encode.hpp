@@ -44,6 +44,7 @@ class PcstWriter {
   std::string path_;
   std::string name_;
   std::vector<TraceEvent> block_;
+  std::string payload_;  ///< one block's encoding; its capacity is reused
   struct IndexEntry {
     u64 offset;
     u32 bytes;

@@ -41,7 +41,14 @@
 //              traces whose gaps are small but rarely repeat.
 //
 // The encoder picks `width` and `gap_mode` per block by exact byte cost,
-// so every block is as small as this format can make it.
+// so every block is as small as this format can make it. For `width` it
+// counts the block's zig-zag values by bit width b (0..64) once: a value
+// costs no exception at any w >= b and 1 + ceil((b - w) / 7) bytes (index
+// byte + varint overflow) at w < b, so
+//   cost(w) = ceil(n * w / 8)
+//             + sum over b > w of count[b] * (1 + ceil((b - w) / 7))
+// is exact without touching the events again, and the smallest w of least
+// cost wins.
 //
 // Versioning: readers reject any version they don't know. Additive changes
 // (new header fields after index_offset, new block payload trailers) bump
@@ -155,14 +162,13 @@ inline bool get_varint(const u8*& p, const u8* end, u64& out) noexcept {
   return false;
 }
 
-/// Zig-zag of the u64 address delta `cur - prev` arithmetically shifted
-/// right by `shift`: small forward and backward strides both map to small
-/// values, and decode is exact for every (prev, cur) pair because
-/// everything is mod 2^64. Lossless exactly when 2^shift divides the
-/// delta, which the encoder guarantees by choosing the block's common
-/// trailing-zero count.
-inline u64 zigzag_delta_shifted(u64 prev, u64 cur, u32 shift) noexcept {
-  const u64 d = cur - prev;  // mod 2^64
+/// Zig-zag of the u64 address delta `d` = cur - prev (mod 2^64)
+/// arithmetically shifted right by `shift`: small forward and backward
+/// strides both map to small values, and decode is exact for every
+/// (prev, cur) pair because everything is mod 2^64. Lossless exactly when
+/// 2^shift divides the delta, which the encoder guarantees by choosing the
+/// block's common trailing-zero count.
+inline u64 zigzag_delta_shifted(u64 d, u32 shift) noexcept {
   u64 x = d >> shift;
   if (shift != 0 && (d >> 63) != 0) x |= ~(~0ULL >> shift);  // sign-extend
   return (x << 1) ^ (0ULL - (x >> 63));

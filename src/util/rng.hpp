@@ -53,14 +53,22 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound). Requires bound > 0.
-  /// Lemire's unbiased bounded generation via 128-bit multiply.
+  /// Lemire's nearly-divisionless bounded generation (D. Lemire, "Fast
+  /// Random Integer Generation in an Interval", ACM TOMACS 2019): a draw x
+  /// gives m = x * bound in 128 bits and is kept when low(m) >= t =
+  /// 2^64 mod bound. Since t < bound, a draw with low(m) >= bound is kept
+  /// without computing t, so the division runs only on the rare draws it
+  /// can reject; every draw is kept or redrawn exactly as an eager-t loop
+  /// would, which leaves the values and the generator state unchanged.
   u64 uniform_int(u64 bound) noexcept {
-    const u64 threshold = (0 - bound) % bound;
-    for (;;) {
-      const u64 x = next_u64();
-      const auto m = static_cast<unsigned __int128>(x) * bound;
-      if (static_cast<u64>(m) >= threshold) return static_cast<u64>(m >> 64);
+    auto m = static_cast<unsigned __int128>(next_u64()) * bound;
+    if (static_cast<u64>(m) < bound) {
+      const u64 threshold = (0 - bound) % bound;
+      while (static_cast<u64>(m) < threshold) {
+        m = static_cast<unsigned __int128>(next_u64()) * bound;
+      }
     }
+    return static_cast<u64>(m >> 64);
   }
 
   /// Bernoulli trial with success probability `p` (clamped to [0,1]).

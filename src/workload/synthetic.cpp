@@ -15,6 +15,7 @@ SyntheticTrace::SyntheticTrace(WorkloadSpec spec, u64 seed)
     throw std::invalid_argument("refs_per_instruction must be in (0, 1]");
   }
   code_span_ = std::max<u64>(spec_.code_footprint_bytes, 64);
+  step_ = spec_.instr_bytes % code_span_;
   shared_span_ = std::max<u64>(spec_.shared_bytes, 64);
   // Geometric gap with mean (1/refs_per_instruction - 1) non-memory
   // instructions between data references; the exact expression below must
@@ -113,19 +114,21 @@ bool SyntheticTrace::next(TraceEvent& out) {
   }
 
   // Advance the PC through the gap instructions; emit an ifetch whenever a
-  // new instruction block is entered.
+  // new instruction block is entered. The PC and step_ both stay below the
+  // code span, so one subtraction wraps the PC exactly as `% code` would.
   const u64 code = code_span_;
   while (remaining_gap_ > 0) {
-    const u64 old_block = pc_ / spec_.block_bytes;
     if (rng_.bernoulli(spec_.far_jump_prob)) {
       pc_ = rng_.uniform_int(code) & ~static_cast<u64>(spec_.instr_bytes - 1);
     } else {
-      pc_ = (pc_ + spec_.instr_bytes) % code;
+      pc_ += step_;
+      if (pc_ >= code) pc_ -= code;
     }
     --remaining_gap_;
     ++gap_accum_;
     const u64 new_block = pc_ / spec_.block_bytes;
-    if (new_block != old_block) {
+    if (new_block != pc_block_) {
+      pc_block_ = new_block;
       u64 fetch_block = spec_.code_base_addr + new_block * spec_.block_bytes;
       // Inner loops: most block-level fetches re-execute recent code.
       if (!recent_code_blocks_.empty() &&

@@ -96,12 +96,14 @@ class SyntheticTrace final : public TraceSource {
   u64 ws_span_ = 64;        ///< max(working_set_bytes, 64) of current phase
   u64 hot_span_ = 64;       ///< max(hot_frac * ws_span_, 64) of current phase
   u64 code_span_ = 64;      ///< max(code_footprint_bytes, 64)
+  u64 step_ = 0;            ///< instr_bytes % code_span_, the PC's wrapped step
   u64 shared_span_ = 64;    ///< max(shared_bytes, 64)
   bool gap_enabled_ = false;
   double gap_log_denom_ = 0.0;  ///< log1p(-p) of the geometric gap
 
   u64 stream_pos_ = 0;  ///< byte offset of the sequential sweep within the WS
   u64 pc_ = 0;          ///< byte offset of the program counter in the code loop
+  u64 pc_block_ = 0;    ///< pc_ / block_bytes, carried between steps
 
   static constexpr std::size_t kReuseWindow = 64;
   std::vector<u64> recent_blocks_;  ///< circular MRU data-block buffer

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -142,16 +141,44 @@ void FileTrace::reject(u64 line_start, const std::string& text) const {
 }
 
 u64 record_trace(TraceSource& source, const std::string& path, u64 count) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot create trace file: " + path);
-  out << "# pcs-cache trace recorded from '" << source.name() << "'\n";
+  std::unique_ptr<std::FILE, FileCloser> file(std::fopen(path.c_str(), "wb"));
+  if (!file) throw std::runtime_error("cannot create trace file: " + path);
+  std::setvbuf(file.get(), nullptr, _IONBF, 0);  // buf is the only buffer
+  const auto write = [&](const char* data, std::size_t size) {
+    if (std::fwrite(data, 1, size, file.get()) != size) {
+      throw std::runtime_error("write failed for trace file: " + path);
+    }
+  };
+  const std::string header = "# pcs-cache trace recorded from '" +
+                             std::string(source.name()) + "'\n";
+  write(header.data(), header.size());
+
+  // Lines are rendered into one fixed buffer, which is written out whenever
+  // the longest line might not fit: KIND, 16 hex digits, 10 decimal digits,
+  // two spaces and the newline.
+  constexpr std::size_t kMaxLineBytes = 1 + 1 + 16 + 1 + 10 + 1;
+  const auto buf =
+      std::make_unique_for_overwrite<char[]>(FileTrace::kBufferBytes);
+  char* const end = buf.get() + FileTrace::kBufferBytes;
+  char* p = buf.get();
   TraceEvent ev;
   u64 written = 0;
   while (written < count && source.next(ev)) {
-    const char kind = ev.ref.ifetch ? 'I' : (ev.ref.write ? 'W' : 'R');
-    out << kind << ' ' << std::hex << ev.ref.addr << std::dec << ' '
-        << ev.gap_instructions << '\n';
+    if (static_cast<std::size_t>(end - p) < kMaxLineBytes) {
+      write(buf.get(), static_cast<std::size_t>(p - buf.get()));
+      p = buf.get();
+    }
+    *p++ = ev.ref.ifetch ? 'I' : (ev.ref.write ? 'W' : 'R');
+    *p++ = ' ';
+    p = std::to_chars(p, end, ev.ref.addr, 16).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, ev.gap_instructions).ptr;
+    *p++ = '\n';
     ++written;
+  }
+  write(buf.get(), static_cast<std::size_t>(p - buf.get()));
+  if (std::fclose(file.release()) != 0) {
+    throw std::runtime_error("write failed for trace file: " + path);
   }
   return written;
 }

@@ -33,6 +33,11 @@
 
 namespace pcs {
 
+/// Closes a C stream; the deleter of every std::FILE this module opens.
+struct FileCloser {
+  void operator()(std::FILE* f) const noexcept { std::fclose(f); }
+};
+
 /// Replays a text trace file. Tolerates CRLF line endings and trailing
 /// whitespace (traces round-trip through Windows editors and shell
 /// pipelines intact). Throws std::runtime_error on open failure and on the
@@ -58,10 +63,6 @@ class FileTrace final : public TraceSource {
   u64 events_read() const noexcept { return events_; }
 
  private:
-  struct FileCloser {
-    void operator()(std::FILE* f) const noexcept { std::fclose(f); }
-  };
-
   /// Moves the unread bytes to the front of the buffer and reads more
   /// after them; false at end of file.
   bool refill();
@@ -83,6 +84,8 @@ class FileTrace final : public TraceSource {
 
 /// Records `count` events from `source` into `path` (text format above).
 /// Returns the number of events written (< count if the source ended).
+/// Throws std::runtime_error when `path` cannot be created or any write,
+/// or the final close, fails.
 u64 record_trace(TraceSource& source, const std::string& path, u64 count);
 
 }  // namespace pcs

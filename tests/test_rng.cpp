@@ -68,6 +68,38 @@ TEST(Rng, UniformIntInBound) {
   for (int c : counts) EXPECT_NEAR(c, 10000, 600);
 }
 
+/// uniform_int as it was first written: the rejection threshold
+/// 2^64 mod bound computed before every draw, draws redrawn while the low
+/// half of x * bound falls below it. The nearly-divisionless form must keep
+/// and reject exactly these draws.
+u64 uniform_int_eager_threshold(Rng& rng, u64 bound) {
+  const u64 threshold = (0 - bound) % bound;
+  for (;;) {
+    const u64 x = rng.next_u64();
+    const auto m = static_cast<unsigned __int128>(x) * bound;
+    if (static_cast<u64>(m) >= threshold) return static_cast<u64>(m >> 64);
+  }
+}
+
+TEST(Rng, UniformIntMatchesEagerThreshold) {
+  // Powers of two never reject; 2^63 + 1 and 2^64 - 1 reject about half
+  // and one in 2^64 of the draws, so the redraw loop runs too.
+  for (const u64 bound :
+       {u64{1}, u64{2}, u64{3}, u64{7}, u64{8}, u64{64}, (u64{1} << 32) + 1,
+        u64{1} << 63, (u64{1} << 63) + 1, ~u64{0}}) {
+    Rng fast(bound ^ 0x5eed), eager(bound ^ 0x5eed);
+    for (int i = 0; i < 100'000; ++i) {
+      ASSERT_EQ(fast.uniform_int(bound),
+                uniform_int_eager_threshold(eager, bound))
+          << "bound " << bound << " draw " << i;
+      // Same state: both generators have made the same number of draws.
+      Rng fast_next = fast, eager_next = eager;
+      ASSERT_EQ(fast_next.next_u64(), eager_next.next_u64())
+          << "bound " << bound << " draw " << i;
+    }
+  }
+}
+
 TEST(Rng, UniformIntBoundOne) {
   Rng r(17);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(r.uniform_int(1), 0u);

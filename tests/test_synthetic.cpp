@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "workload/spec_profiles.hpp"
 
 namespace pcs {
 namespace {
@@ -194,6 +200,73 @@ TEST(Synthetic, StreamPhaseSweepsForward) {
     prev = e.ref.addr;
     first = false;
   }
+}
+
+/// FNV-1a (64-bit) over the first `n` events' address, kind and gap.
+u64 stream_digest(TraceSource& t, u64 n) {
+  u64 h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](u64 v, int bytes) {
+    for (int i = 0; i < bytes; ++i, v >>= 8) {
+      h = (h ^ (v & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  TraceEvent e;
+  for (u64 i = 0; i < n; ++i) {
+    if (!t.next(e)) break;
+    mix(e.ref.addr, 8);
+    mix((e.ref.write ? 1u : 0u) | (e.ref.ifetch ? 2u : 0u), 1);
+    mix(e.gap_instructions, 4);
+  }
+  return h;
+}
+
+std::string hex(u64 v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(Synthetic, StreamDigestsArePinned) {
+  // The first 200k events at trace seed 42 of every profile, and of two
+  // specs off the common path, as the generator first made them: a step
+  // longer than the code loop, which the PC walk must reduce before it
+  // wraps, and 48-byte fetch blocks over a loop that no step divides. Every
+  // recorded trace and golden figure replays these streams.
+  const std::vector<std::pair<std::string, u64>> pinned = {
+      {"perlbench", 0xe5018b690bb7aee3ULL},
+      {"bzip2", 0x8e9b374e84a21296ULL},
+      {"gcc", 0x2cabb508e0c70d3cULL},
+      {"mcf", 0xc201121ce754c5daULL},
+      {"gobmk", 0x3743014168b699feULL},
+      {"hmmer", 0x5c4546669f550ee7ULL},
+      {"sjeng", 0x021afa6733759cf1ULL},
+      {"libquantum", 0xcd663c28e48a4714ULL},
+      {"h264ref", 0xb95c5685b3a35e1fULL},
+      {"omnetpp", 0xdae3a5310fb8c8c8ULL},
+      {"astar", 0x009e39de4c037a64ULL},
+      {"xalancbmk", 0x16c411d310cfe6d4ULL},
+      {"bwaves", 0x8747205aa876da93ULL},
+      {"milc", 0x3b9787389ab60da2ULL},
+      {"lbm", 0xad37489affa505b9ULL},
+      {"sphinx3", 0x7bba27b5b512d17bULL}};
+  ASSERT_EQ(pinned.size(), spec_profile_names().size());
+  for (const auto& [name, digest] : pinned) {
+    auto t = make_spec_trace(name, 42);
+    EXPECT_EQ(hex(stream_digest(*t, 200'000)), hex(digest)) << name;
+  }
+
+  WorkloadSpec long_step = spec_profile("gcc");
+  long_step.code_footprint_bytes = 100;
+  long_step.instr_bytes = 128;
+  SyntheticTrace a(long_step, 42);
+  EXPECT_EQ(hex(stream_digest(a, 200'000)), hex(0x776aa729f4f6b5c5ULL));
+
+  WorkloadSpec odd_blocks = spec_profile("gcc");
+  odd_blocks.block_bytes = 48;
+  odd_blocks.code_footprint_bytes = 4099;
+  SyntheticTrace b(odd_blocks, 42);
+  EXPECT_EQ(hex(stream_digest(b, 200'000)), hex(0x68de27d102813acaULL));
 }
 
 }  // namespace

@@ -5,10 +5,12 @@
 // the text original at any thread count.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/trace_source.hpp"
@@ -102,6 +104,232 @@ void spit(const std::string& path, const std::vector<u8>& bytes) {
 }
 
 // ---------------------------------------------------------------------------
+// The block encoder as first written, kept as the oracle of the one that
+// ships: every pack width is costed over every event. `pick` reports the
+// width it chose and whether a wider one cost the same.
+
+namespace oracle {
+
+struct WidthPick {
+  u32 width = 0;
+  bool tied = false;
+};
+
+u8 kind_code(const TraceEvent& ev) {
+  if (ev.ref.ifetch) return pcst::kKindIfetch;
+  return ev.ref.write ? pcst::kKindWrite : pcst::kKindRead;
+}
+
+u64 zigzag_delta_shifted(u64 prev, u64 cur, u32 shift) {
+  const u64 d = cur - prev;
+  u64 x = d >> shift;
+  if (shift != 0 && (d >> 63) != 0) x |= ~(~0ULL >> shift);
+  return (x << 1) ^ (0ULL - (x >> 63));
+}
+
+void encode_block(const TraceEvent* events, u32 n, std::string& out,
+                  WidthPick& pick) {
+  pcst::put_varint(out, n);
+  for (u32 i = 0; i < n; i += 4) {
+    u8 packed = 0;
+    for (u32 j = 0; j < 4 && i + j < n; ++j) {
+      packed = static_cast<u8>(packed | (kind_code(events[i + j]) << (2 * j)));
+    }
+    out.push_back(static_cast<char>(packed));
+  }
+
+  u64 deltas[pcst::kEventsPerBlock];
+  u64 last[pcst::kNumKinds] = {0, 0, 0};
+  u64 any = 0;
+  for (u32 i = 0; i < n; ++i) {
+    const u8 k = kind_code(events[i]);
+    deltas[i] = events[i].ref.addr - last[k];
+    any |= deltas[i];
+    last[k] = events[i].ref.addr;
+  }
+  const u32 shift =
+      any == 0 ? 0 : static_cast<u32>(std::countr_zero(any));
+
+  u64 zz[pcst::kEventsPerBlock];
+  last[0] = last[1] = last[2] = 0;
+  for (u32 i = 0; i < n; ++i) {
+    const u8 k = kind_code(events[i]);
+    zz[i] = zigzag_delta_shifted(last[k], events[i].ref.addr, shift);
+    last[k] = events[i].ref.addr;
+  }
+
+  u32 width = 0;
+  u64 best_cost = ~0ULL;
+  pick.tied = false;
+  for (u32 w = 0; w <= pcst::kMaxPackWidth; ++w) {
+    u64 cost = (static_cast<u64>(n) * w + 7) / 8;
+    for (u32 i = 0; i < n; ++i) {
+      const u64 high = w >= 64 ? 0 : zz[i] >> w;
+      if (high != 0) cost += 1 + pcst::varint_len(high);
+    }
+    if (cost < best_cost) {
+      best_cost = cost;
+      width = w;
+      pick.tied = false;
+    } else if (cost == best_cost) {
+      pick.tied = true;
+    }
+  }
+  pick.width = width;
+
+  out.push_back(static_cast<char>(shift));
+  out.push_back(static_cast<char>(width));
+  const u64 mask = width == 0 ? 0 : ~0ULL >> (64 - width);
+  u64 acc = 0;
+  u32 bits = 0;
+  for (u32 i = 0; i < n; ++i) {
+    acc |= (zz[i] & mask) << bits;
+    bits += width;
+    while (bits >= 8) {
+      out.push_back(static_cast<char>(acc & 0xff));
+      acc >>= 8;
+      bits -= 8;
+    }
+  }
+  if (bits > 0) out.push_back(static_cast<char>(acc & 0xff));
+
+  u64 num_exceptions = 0;
+  for (u32 i = 0; i < n; ++i) {
+    if ((zz[i] >> width) != 0) ++num_exceptions;
+  }
+  pcst::put_varint(out, num_exceptions);
+  for (u32 i = 0; i < n; ++i) {
+    const u64 high = zz[i] >> width;
+    if (high != 0) {
+      out.push_back(static_cast<char>(i));
+      pcst::put_varint(out, high);
+    }
+  }
+
+  u64 rle_cost = 0;
+  for (u32 i = 0; i < n;) {
+    u32 run = 1;
+    while (i + run < n &&
+           events[i + run].gap_instructions == events[i].gap_instructions) {
+      ++run;
+    }
+    rle_cost += pcst::varint_len(events[i].gap_instructions) +
+                pcst::varint_len(run);
+    i += run;
+  }
+  u64 num_nibbles = 0;
+  u64 packed_cost = (n + 3) / 4;
+  for (u32 i = 0; i < n; ++i) {
+    const u32 gap = events[i].gap_instructions;
+    if (gap >= pcst::kGapEscape2Bit) ++num_nibbles;
+    if (gap >= pcst::kGapNibbleBias + pcst::kGapNibbleEscape) {
+      packed_cost += pcst::varint_len(gap);
+    }
+  }
+  packed_cost += (num_nibbles + 1) / 2;
+
+  if (rle_cost <= packed_cost) {
+    out.push_back(static_cast<char>(pcst::kGapModeRle));
+    for (u32 i = 0; i < n;) {
+      const u32 gap = events[i].gap_instructions;
+      u32 run = 1;
+      while (i + run < n && events[i + run].gap_instructions == gap) ++run;
+      pcst::put_varint(out, gap);
+      pcst::put_varint(out, run);
+      i += run;
+    }
+  } else {
+    out.push_back(static_cast<char>(pcst::kGapModePacked));
+    for (u32 i = 0; i < n; i += 4) {
+      u8 packed = 0;
+      for (u32 j = 0; j < 4 && i + j < n; ++j) {
+        const u32 gap = events[i + j].gap_instructions;
+        const u8 code = gap < pcst::kGapEscape2Bit ? static_cast<u8>(gap)
+                                                   : pcst::kGapEscape2Bit;
+        packed = static_cast<u8>(packed | (code << (2 * j)));
+      }
+      out.push_back(static_cast<char>(packed));
+    }
+    u8 nib_acc = 0;
+    bool nib_half = false;
+    for (u32 i = 0; i < n; ++i) {
+      const u32 gap = events[i].gap_instructions;
+      if (gap < pcst::kGapEscape2Bit) continue;
+      const u32 rel = gap - pcst::kGapNibbleBias;
+      const u8 nib = rel < pcst::kGapNibbleEscape ? static_cast<u8>(rel)
+                                                  : pcst::kGapNibbleEscape;
+      if (!nib_half) {
+        nib_acc = nib;
+        nib_half = true;
+      } else {
+        out.push_back(static_cast<char>(nib_acc | (nib << 4)));
+        nib_half = false;
+      }
+    }
+    if (nib_half) out.push_back(static_cast<char>(nib_acc));
+    for (u32 i = 0; i < n; ++i) {
+      const u32 gap = events[i].gap_instructions;
+      if (gap >= pcst::kGapNibbleBias + pcst::kGapNibbleEscape) {
+        pcst::put_varint(out, gap);
+      }
+    }
+  }
+}
+
+}  // namespace oracle
+
+/// The adversarial fixed blocks: all-identical addresses, alternating
+/// extremes, single events at both address extremes, interleaved kinds.
+std::vector<std::vector<TraceEvent>> adversarial_blocks() {
+  std::vector<std::vector<TraceEvent>> blocks;
+  // All-identical addresses: every delta (after the first per kind) is 0.
+  blocks.emplace_back(256, make_event(0x4000, 0, 1));
+  // Alternating extremes: every delta is a 64-bit exception.
+  std::vector<TraceEvent> extremes;
+  for (u32 i = 0; i < 256; ++i) {
+    extremes.push_back(make_event(i % 2 ? ~0ULL : 0, 0, i % 2 ? 0 : ~0u));
+  }
+  blocks.push_back(extremes);
+  // Single event of each kind, at both address extremes.
+  for (u8 k = 0; k < 3; ++k) {
+    blocks.push_back({make_event(0, k, 0)});
+    blocks.push_back({make_event(~0ULL, k, 0xffff'ffffu)});
+  }
+  // Interleaved kinds with per-kind strides (exercises per-kind contexts).
+  std::vector<TraceEvent> mixed;
+  for (u32 i = 0; i < 255; ++i) {
+    mixed.push_back(make_event(0x1000'0000ULL * (i % 3) + i * 64ULL,
+                               static_cast<u8>(i % 3), i % 19));
+  }
+  blocks.push_back(mixed);
+  return blocks;
+}
+
+/// A block whose zig-zag values have exactly bits[i % bits.size()] bits
+/// each, with odd deltas so the block's shift is 0. Kinds are random;
+/// addresses follow each kind's own previous address.
+std::vector<TraceEvent> block_of_widths(Rng& rng, u32 n,
+                                        const std::vector<u32>& bits) {
+  std::vector<TraceEvent> evs;
+  u64 last[pcst::kNumKinds] = {0, 0, 0};
+  for (u32 i = 0; i < n; ++i) {
+    const u32 b = bits[i % bits.size()];
+    // zz = 1 mod 4 or 2 mod 4 decodes to an odd delta.
+    u64 zz = b == 0 ? 0 : b == 1 ? 1 : b == 2 ? 2 : u64{1} << (b - 1);
+    if (b >= 3) {
+      const u64 middle = rng.next_u64() & ((u64{1} << (b - 1)) - 1);
+      zz |= (middle & ~u64{3}) | 1;
+    }
+    const u64 delta = (zz >> 1) ^ (0ULL - (zz & 1));
+    const u8 k = static_cast<u8>(rng.uniform_int(pcst::kNumKinds));
+    last[k] += delta;
+    const u32 gap = static_cast<u32>(rng.uniform_int(40));
+    evs.push_back(make_event(last[k], k, gap));
+  }
+  return evs;
+}
+
+// ---------------------------------------------------------------------------
 // Block-codec round trips (encode_pcst_block / decode_pcst_block directly).
 
 void roundtrip_block(const std::vector<TraceEvent>& evs) {
@@ -132,26 +360,55 @@ TEST(PcstBlockCodec, RandomizedRoundTrips) {
 }
 
 TEST(PcstBlockCodec, AdversarialFixedBlocks) {
-  // All-identical addresses: every delta (after the first per kind) is 0.
-  roundtrip_block(std::vector<TraceEvent>(256, make_event(0x4000, 0, 1)));
-  // Alternating extremes: every delta is a 64-bit exception.
-  std::vector<TraceEvent> extremes;
-  for (u32 i = 0; i < 256; ++i) {
-    extremes.push_back(make_event(i % 2 ? ~0ULL : 0, 0, i % 2 ? 0 : ~0u));
+  for (const auto& block : adversarial_blocks()) roundtrip_block(block);
+}
+
+TEST(PcstBlockCodec, EncoderMatchesExhaustiveWidthSearch) {
+  std::vector<u32> wins(pcst::kMaxPackWidth + 1, 0);
+  u32 tied = 0;
+  u32 blocks = 0;
+  const auto check = [&](const std::vector<TraceEvent>& evs) {
+    const u32 n = static_cast<u32>(evs.size());
+    std::string got = "prefix";
+    std::string want = "prefix";
+    oracle::WidthPick pick;
+    encode_pcst_block(evs.data(), n, got);
+    oracle::encode_block(evs.data(), n, want, pick);
+    ASSERT_EQ(got, want) << "block " << blocks << ", " << n << " events";
+    ++wins[pick.width];
+    if (pick.tied) ++tied;
+    ++blocks;
+  };
+
+  for (u64 seed = 1; seed <= 2000; ++seed) {
+    Rng rng(seed * 7919);
+    check(random_events(seed, 1 + rng.uniform_int(pcst::kEventsPerBlock)));
   }
-  roundtrip_block(extremes);
-  // Single event of each kind, at both address extremes.
-  for (u8 k = 0; k < 3; ++k) {
-    roundtrip_block({make_event(0, k, 0)});
-    roundtrip_block({make_event(~0ULL, k, 0xffff'ffffu)});
+  for (const auto& block : adversarial_blocks()) check(block);
+  for (u32 n : {1u, 2u, 3u, 4u, 255u, 256u}) {
+    check(random_events(n + 5000, n));
+    check(std::vector<TraceEvent>(n, make_event(0x4000, 1, 7)));
   }
-  // Interleaved kinds with per-kind strides (exercises per-kind contexts).
-  std::vector<TraceEvent> mixed;
-  for (u32 i = 0; i < 255; ++i) {
-    mixed.push_back(make_event(0x1000'0000ULL * (i % 3) + i * 64ULL,
-                               static_cast<u8>(i % 3), i % 19));
+  // Every width wins: blocks of one bit width (a single event also ties
+  // with every wider width that packs into the same bytes), then blocks
+  // mixing two widths, whose exceptions trade against the packed lane.
+  Rng rng(99);
+  for (u32 b = 0; b <= pcst::kMaxPackWidth; ++b) {
+    for (u32 n : {1u, 7u, 256u}) check(block_of_widths(rng, n, {b}));
   }
-  roundtrip_block(mixed);
+  for (int i = 0; i < 1000; ++i) {
+    const u32 lo = static_cast<u32>(rng.uniform_int(65));
+    const u32 hi = static_cast<u32>(rng.uniform_int(65));
+    std::vector<u32> bits(1 + rng.uniform_int(16), lo);
+    bits.back() = hi;
+    check(block_of_widths(
+        rng, 1 + static_cast<u32>(rng.uniform_int(pcst::kEventsPerBlock)),
+        bits));
+  }
+  for (u32 w = 0; w <= pcst::kMaxPackWidth; ++w) {
+    EXPECT_GT(wins[w], 0u) << "width " << w << " never won";
+  }
+  EXPECT_GT(tied, 0u);
 }
 
 TEST(PcstBlockCodec, RejectsOutOfRangeSizes) {
@@ -244,6 +501,32 @@ TEST(PcstContainer, ConvertRoundTripPreservesEventsAndName) {
   std::remove(text.c_str());
   std::remove(pcst.c_str());
   std::remove(back.c_str());
+}
+
+TEST(PcstContainer, RecordedBytesArePinned) {
+  // gcc at trace seed 42, 200k events, in both containers: the bytes the
+  // first recorder wrote. Replays only check what decodes, so this is what
+  // holds the encoder's choices (and the text renderer) fixed.
+  const auto fnv1a64 = [](const std::vector<u8>& bytes) {
+    u64 h = 0xcbf29ce484222325ULL;
+    for (const u8 b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+    return h;
+  };
+  const std::string text = temp_path("pinned.trace");
+  const std::string pcst = temp_path("pinned.pcst");
+  for (const auto& [path, format] : {std::pair{text, TraceFormat::kText},
+                                     std::pair{pcst, TraceFormat::kPcst}}) {
+    auto source = make_spec_trace("gcc", 42);
+    EXPECT_EQ(record_trace(*source, path, 200'000, format), 200'000u);
+  }
+  const auto text_bytes = slurp(text);
+  const auto pcst_bytes = slurp(pcst);
+  EXPECT_EQ(text_bytes.size(), 2'562'802u);
+  EXPECT_EQ(fnv1a64(text_bytes), 0x9cbb4e2a0f4b483aULL);
+  EXPECT_EQ(pcst_bytes.size(), 584'247u);
+  EXPECT_EQ(fnv1a64(pcst_bytes), 0xde2fefdb9ab00f6fULL);
+  std::remove(text.c_str());
+  std::remove(pcst.c_str());
 }
 
 // ---------------------------------------------------------------------------

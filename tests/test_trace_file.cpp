@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
+#include "trace/encode.hpp"
 #include "trace_file_oracle.hpp"
 #include "util/rng.hpp"
 #include "workload/spec_profiles.hpp"
@@ -157,6 +159,23 @@ TEST(TraceFile, RecordStopsAtSourceEnd) {
   std::remove(path.c_str());
 }
 
+TEST(TraceFile, RecordToFullDeviceThrows) {
+  // Every write to /dev/full fails with ENOSPC; both containers must say
+  // so rather than report a recording that never reached the disk.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  for (const TraceFormat format : {TraceFormat::kText, TraceFormat::kPcst}) {
+    auto source = make_spec_trace("gcc", 7);
+    try {
+      record_trace(*source, "/dev/full", 100'000, format);
+      ADD_FAILURE() << "format " << static_cast<int>(format)
+                    << ": the failed writes went unreported";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "write failed for trace file: /dev/full");
+    }
+  }
+}
 
 // ---- The grammar, against the getline + sscanf oracle ---------------------
 
