@@ -201,6 +201,7 @@ int main(int argc, char** argv) {
     std::cout << "== FIG4: gem5-style simulation sweep (" << fmt_count(refs)
               << " measured refs per run; set PCS_REFS to change) ==\n";
     const auto rows = run_grid(refs, sink.get());
+    if (sink) sink->finish();
     report_config(SystemConfig::config_a(), rows[0]);
     report_config(SystemConfig::config_b(), rows[1]);
   } catch (const std::exception& e) {

@@ -117,6 +117,7 @@ int main(int argc, char** argv) {
       // standalone report is byte-identical to the job's output file.
       run_population_job(job, std::cout, pcs_thread_count(), sink.get());
     }
+    if (sink) sink->finish();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "chip_binning: %s\n", e.what());
     return 2;

@@ -195,6 +195,7 @@ int main(int argc, char** argv) {
       emit_trace_header(*sink);
     }
     run_sim_job(o.job, std::cout, pcs_thread_count(), sink.get());
+    if (sink) sink->finish();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pcs_sim: %s\n", e.what());
     return 2;

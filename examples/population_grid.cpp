@@ -148,6 +148,7 @@ int main(int argc, char** argv) {
     }
     const PopulationGridResult result = engine.run(
         spec, sink.get(), ckpt.path.empty() ? nullptr : &ckpt);
+    if (sink) sink->finish();
     render_population_grid_report(spec, result, std::cout);
 
     if (!out_dir.empty()) {

@@ -65,8 +65,11 @@ class ExperimentGrid {
 struct RunnerStats {
   u32 threads = 0;             ///< workers the runner used
   u64 tasks = 0;               ///< pool tasks executed (one per shard)
-  u64 steals = 0;              ///< pool cross-worker steals (0 when serial)
-  u64 max_queue_depth = 0;     ///< deepest single worker deque seen
+  /// This field and the next are always 0: the pool has one FIFO queue,
+  /// so no task moves between workers and no worker has a queue of its
+  /// own. Both stay while e2e/src/fig4.cpp reads them.
+  u64 steals = 0;
+  u64 max_queue_depth = 0;
   double wall_ms_total = 0.0;  ///< sum of per-shard wall times (not elapsed)
   std::vector<double> task_wall_ms;  ///< one entry per shard, shard order
 };

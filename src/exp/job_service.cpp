@@ -639,6 +639,7 @@ JobOutcome execute_job(const Job& job) {
                      .field("job", oc.id)
                      .field("kind", kind_name(job.kind))
                      .field("wall_ms", oc.wall_ms));
+      sink->finish();
     }
     oc.ok = true;
   } catch (const std::exception& e) {

@@ -480,9 +480,8 @@ void check_counts(const SidecarReader& r, const PopulationResult& p,
 /// The shard a run starts from: the sidecar's watermark once the sidecar
 /// at ckpt.path loads into `merged` (shaped by the caller) and passes
 /// every check, else 0 with `merged` untouched. A missing sidecar is a
-/// silent fresh start. A rejected one throws std::runtime_error naming the
-/// path and the check under strict_resume, and otherwise warns on stderr
-/// and starts fresh.
+/// silent fresh start; a rejected one warns on stderr, naming the path and
+/// the check, and starts fresh.
 u64 resume_checkpoint(const CheckpointOptions& ckpt, u64 fingerprint,
                       u64 num_chips, u64 per_shard, u64 num_shards,
                       std::vector<PopulationResult>& merged) {
@@ -522,7 +521,6 @@ u64 resume_checkpoint(const CheckpointOptions& ckpt, u64 fingerprint,
     merged = std::move(parts);
     return done;
   } catch (const std::runtime_error& e) {
-    if (ckpt.strict_resume) throw;
     std::fprintf(stderr,
                  "pcs: checkpoint sidecar rejected, starting fresh: %s\n",
                  e.what());

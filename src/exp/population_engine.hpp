@@ -215,17 +215,13 @@ void accumulate_chip(PopulationResult& r, const ChipBinPoint& p);
 /// description; a sidecar that fails validation (fingerprint mismatch,
 /// shape mismatch, truncated/corrupt file, a token that is not an exact
 /// u64, a watermark past the end of the run, counts that do not add up to
-/// the watermark's dies) is rejected with a stderr warning naming the
-/// check, and the run starts fresh -- still byte-identical to an
+/// the watermark's dies) is rejected with a stderr warning naming the path
+/// and the check, and the run starts fresh -- still byte-identical to an
 /// uninterrupted run, with the bad sidecar overwritten by the next save.
-/// Set `strict_resume` to turn a rejected sidecar into a
-/// std::runtime_error naming the path and the check instead (operators who
-/// would rather stop than silently redo a large run).
 struct CheckpointOptions {
   std::string path;       ///< sidecar file; "" disables checkpointing
   u64 every_shards = 16;  ///< save cadence (0 = only the final save)
   bool resume = false;    ///< load the sidecar and skip completed shards
-  bool strict_resume = false;  ///< throw on a rejected sidecar (no fallback)
   /// Test hook: invoked after each sidecar write with the watermark value
   /// (kill-mid-run tests _exit() from here to leave a real torn run).
   std::function<void(u64)> on_checkpoint;

@@ -231,7 +231,7 @@ std::vector<SimReport> SweepRunner::run(std::vector<ExperimentPoint> points,
   std::vector<SimReport> rows(n);
   // Each shard writes only its own shard_ms slot and its points' sinks,
   // and every write is done before for_each_in_order returns.
-  const PoolCounters counters = for_each_in_order(
+  for_each_in_order(
       num_threads_, shards.size(),
       [&](u64 s) {
         const auto t0 = std::chrono::steady_clock::now();
@@ -272,20 +272,20 @@ std::vector<SimReport> SweepRunner::run(std::vector<ExperimentPoint> points,
           .field("wall_ms", shard_ms[s]);
       trace->emit(rec);
     }
+    // The two pool counters are always 0 (the pool has one FIFO queue);
+    // schema v1 keeps their fields (TELEMETRY.md).
     TraceRecord rec("sweep_profile");
     rec.field("threads", num_threads_)
         .field("shards", shards.size())
         .field("max_lanes", max_lanes_)
-        .field("steals", counters.steals)
-        .field("max_queue_depth", counters.max_queue_depth)
+        .field("steals", u64{0})
+        .field("max_queue_depth", u64{0})
         .field("wall_ms_total", total_ms);
     trace->emit(rec);
   }
   if (stats) {
     stats->threads = num_threads_;
     stats->tasks = shards.size();
-    stats->steals = counters.steals;
-    stats->max_queue_depth = counters.max_queue_depth;
     stats->wall_ms_total = 0.0;
     for (const double ms : shard_ms) stats->wall_ms_total += ms;
     stats->task_wall_ms = std::move(shard_ms);

@@ -1,5 +1,6 @@
 #include "exp/thread_pool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace pcs {
@@ -14,82 +15,25 @@ u32 pcs_thread_count() noexcept {
 }
 
 ThreadPool::ThreadPool(u32 num_workers) {
-  if (num_workers < 1) num_workers = 1;
-  queues_.reserve(num_workers);
-  for (u32 i = 0; i < num_workers; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
+  num_workers = std::max(num_workers, 1u);
   workers_.reserve(num_workers);
   for (u32 i = 0; i < num_workers; ++i) {
-    workers_.emplace_back(
-        [this, i](std::stop_token st) { worker_loop(st, i); });
+    workers_.emplace_back([this](std::stop_token st) { worker_loop(st); });
   }
 }
 
-ThreadPool::~ThreadPool() {
-  for (auto& w : workers_) w.request_stop();
-  wake_cv_.notify_all();
-  // jthread destructors join; worker_loop drains its queues before exiting
-  // so every submitted future is eventually satisfied.
-}
-
-void ThreadPool::enqueue(Task t) {
-  const u64 victim = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                     queues_.size();
-  u64 depth;
-  {
-    std::lock_guard<std::mutex> lk(queues_[victim]->mu);
-    queues_[victim]->dq.push_back(std::move(t));
-    depth = queues_[victim]->dq.size();
-  }
-  u64 seen = max_depth_.load(std::memory_order_relaxed);
-  while (depth > seen &&
-         !max_depth_.compare_exchange_weak(seen, depth,
-                                           std::memory_order_relaxed)) {
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  // Empty critical section pairs with the waiter's predicate check: the
-  // waiter either observes the new pending_ value or receives this notify.
-  { std::lock_guard<std::mutex> lk(wake_mu_); }
-  wake_cv_.notify_one();
-}
-
-bool ThreadPool::try_pop_local(u32 self, Task& out) {
-  WorkerQueue& q = *queues_[self];
-  std::lock_guard<std::mutex> lk(q.mu);
-  if (q.dq.empty()) return false;
-  out = std::move(q.dq.back());  // LIFO: cache-warm, depth-first
-  q.dq.pop_back();
-  return true;
-}
-
-bool ThreadPool::try_steal(u32 self, Task& out) {
-  const u32 n = static_cast<u32>(queues_.size());
-  for (u32 k = 1; k < n; ++k) {
-    WorkerQueue& q = *queues_[(self + k) % n];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (q.dq.empty()) continue;
-    out = std::move(q.dq.front());  // FIFO: steal the oldest, largest work
-    q.dq.pop_front();
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::stop_token st, u32 self) {
+void ThreadPool::worker_loop(std::stop_token st) {
   for (;;) {
-    Task task;
-    if (try_pop_local(self, task) || try_steal(self, task)) {
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      task();
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      // False only once stop is requested and the queue is empty, so the
+      // workers drain every queued task before they exit.
+      if (!cv_.wait(lock, st, [this] { return !queue_.empty(); })) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock<std::mutex> lk(wake_mu_);
-    const bool live = wake_cv_.wait(lk, st, [this] {
-      return pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (!live) return;  // stop requested and nothing pending
+    task();
   }
 }
 

@@ -95,10 +95,22 @@ void append_csv_value(std::string& out, const TraceRecord::Value& v) {
   }
 }
 
+// Every file write and flush is checked here, so a trace lost to a full
+// disk fails its run instead of passing as written.
+void check_stream(const std::ostream& out, const std::string& path) {
+  if (!out) throw std::runtime_error("write failed for trace file: " + path);
+}
+
+void write_checked(std::ostream& out, const std::string& bytes,
+                   const std::string& path) {
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  check_stream(out, path);
+}
+
 }  // namespace
 
 JsonlTraceSink::JsonlTraceSink(const std::string& path)
-    : file_(path, std::ios::out | std::ios::trunc), out_(&file_) {
+    : file_(path, std::ios::out | std::ios::trunc), out_(&file_), path_(path) {
   if (!file_) throw std::runtime_error("cannot open trace file: " + path);
 }
 
@@ -115,7 +127,12 @@ void JsonlTraceSink::emit(const TraceRecord& record) {
     append_json_value(line, f.value);
   }
   line += "}\n";
-  out_->write(line.data(), static_cast<std::streamsize>(line.size()));
+  write_checked(*out_, line, path_);
+}
+
+void JsonlTraceSink::finish() {
+  out_->flush();
+  check_stream(*out_, path_);
 }
 
 CsvTraceSink::CsvTraceSink(const std::string& path) {
@@ -130,14 +147,14 @@ CsvTraceSink::CsvTraceSink(const std::string& path) {
   }
 }
 
-std::ofstream& CsvTraceSink::stream_for(const TraceRecord& record) {
+CsvTraceSink::TypeFile& CsvTraceSink::stream_for(const TraceRecord& record) {
   const auto it = files_.find(record.type());
-  if (it != files_.end()) return it->second.out;
+  if (it != files_.end()) return it->second;
 
   TypeFile& tf = files_[record.type()];
-  const std::string path = stem_ + "." + record.type() + ext_;
-  tf.out.open(path, std::ios::out | std::ios::trunc);
-  if (!tf.out) throw std::runtime_error("cannot open trace file: " + path);
+  tf.path = stem_ + "." + record.type() + ext_;
+  tf.out.open(tf.path, std::ios::out | std::ios::trunc);
+  if (!tf.out) throw std::runtime_error("cannot open trace file: " + tf.path);
   // Header row from the first record; the schema guarantees every record
   // of a type carries the same fields in the same order.
   std::string header;
@@ -146,12 +163,12 @@ std::ofstream& CsvTraceSink::stream_for(const TraceRecord& record) {
     header += f.key;
   }
   header += '\n';
-  tf.out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  return tf.out;
+  write_checked(tf.out, header, tf.path);
+  return tf;
 }
 
 void CsvTraceSink::emit(const TraceRecord& record) {
-  std::ofstream& out = stream_for(record);
+  TypeFile& tf = stream_for(record);
   std::string line;
   line.reserve(128);
   for (const TraceRecord::Field& f : record.fields()) {
@@ -159,7 +176,14 @@ void CsvTraceSink::emit(const TraceRecord& record) {
     append_csv_value(line, f.value);
   }
   line += '\n';
-  out.write(line.data(), static_cast<std::streamsize>(line.size()));
+  write_checked(tf.out, line, tf.path);
+}
+
+void CsvTraceSink::finish() {
+  for (auto& [type, tf] : files_) {
+    tf.out.flush();
+    check_stream(tf.out, tf.path);
+  }
 }
 
 std::unique_ptr<TraceSink> make_trace_sink(const std::string& path) {

@@ -74,10 +74,16 @@ class TraceRecord {
 };
 
 /// Receives emitted records. Implementations serialize or buffer them.
+/// A file sink throws std::runtime_error("write failed for trace file:
+/// PATH") from the first emit whose write fails, and from finish().
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void emit(const TraceRecord& record) = 0;
+  /// Flushes every record emitted so far and throws if any write failed.
+  /// The owner of a file sink calls it after the last record; sinks that
+  /// write no file do nothing.
+  virtual void finish() {}
 };
 
 /// Discards everything. Instrumentation normally uses a null `TraceSink*`
@@ -94,16 +100,18 @@ class NullTraceSink final : public TraceSink {
 class JsonlTraceSink final : public TraceSink {
  public:
   /// Writes to `out` (not owned; must outlive the sink).
-  explicit JsonlTraceSink(std::ostream& out) : out_(&out) {}
+  explicit JsonlTraceSink(std::ostream& out) : out_(&out), path_("<stream>") {}
   /// Opens `path` for writing (truncates). Throws std::runtime_error on
   /// failure.
   explicit JsonlTraceSink(const std::string& path);
 
   void emit(const TraceRecord& record) override;
+  void finish() override;
 
  private:
   std::ofstream file_;
   std::ostream* out_;
+  std::string path_;  ///< named by a failed write
 };
 
 /// CSV backend: records of each type go to their own file (the schema is
@@ -115,12 +123,14 @@ class CsvTraceSink final : public TraceSink {
   explicit CsvTraceSink(const std::string& path);
 
   void emit(const TraceRecord& record) override;
+  void finish() override;
 
  private:
   struct TypeFile {
     std::ofstream out;
+    std::string path;
   };
-  std::ofstream& stream_for(const TraceRecord& record);
+  TypeFile& stream_for(const TraceRecord& record);
 
   std::string stem_;  ///< path minus extension
   std::string ext_;   ///< extension including the dot (".csv" by default)

@@ -3,12 +3,15 @@
 // bit-identical to the serial run_one loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/system.hpp"
@@ -26,7 +29,6 @@ namespace {
 
 TEST(ThreadPool, SubmitReturnsResultsThroughFutures) {
   ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
   auto f1 = pool.submit([] { return 41 + 1; });
   auto f2 = pool.submit([] { return std::string("ok"); });
   EXPECT_EQ(f1.get(), 42);
@@ -64,6 +66,21 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   }  // destructor joins; queued futures must not be abandoned
   for (auto& f : futs) f.get();
   EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(ThreadPool, RunsTasksInSubmissionOrder) {
+  ThreadPool pool(1);
+  std::latch queued(1);
+  std::vector<int> order;  // written by the one worker only
+  std::vector<std::future<void>> futs;
+  // Task 0 holds the worker while tasks 1-8 queue behind it.
+  futs.push_back(pool.submit([&queued] { queued.wait(); }));
+  for (int i = 1; i <= 8; ++i) {
+    futs.push_back(pool.submit([&order, i] { order.push_back(i); }));
+  }
+  queued.count_down();
+  for (auto& f : futs) f.get();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 TEST(ThreadCount, HonorsEnvVariable) {
@@ -117,7 +134,7 @@ TEST(ForEachInOrder, ConsumesInIndexOrderAndRethrowsLowestIndexError) {
     // On the pool, call 0 finishes last: it waits for every other call.
     std::latch others_done(kN - 1);
     std::vector<u64> consumed;
-    const PoolCounters counters = for_each_in_order(
+    for_each_in_order(
         threads, kN,
         [&](u64 i) {
           if (threads > 1 && i == 0) others_done.wait();
@@ -129,10 +146,6 @@ TEST(ForEachInOrder, ConsumesInIndexOrderAndRethrowsLowestIndexError) {
           consumed.push_back(i);
         });
     EXPECT_EQ(consumed, all) << threads << " threads";
-    if (threads == 1) {
-      EXPECT_EQ(counters.steals, 0u);
-      EXPECT_EQ(counters.max_queue_depth, 0u);
-    }
 
     // Calls 3 and 6 throw: 0-2 are consumed, call 3's error surfaces, and
     // on the pool only once every call has finished.
@@ -156,6 +169,25 @@ TEST(ForEachInOrder, ConsumesInIndexOrderAndRethrowsLowestIndexError) {
     EXPECT_EQ(consumed, (std::vector<u64>{0, 1, 2})) << threads << " threads";
     EXPECT_EQ(finished.load(), threads > 1 ? kN : 4u) << threads << " threads";
   }
+}
+
+TEST(ForEachInOrder, ConsumesWhileLaterCallsRun) {
+  // Calls start in index order, so by the time call i is consumed only the
+  // few calls running beside it can have finished ahead of it.
+  constexpr u64 kN = 64;
+  std::atomic<u64> finished{0};
+  u64 most_waiting = 0;
+  for_each_in_order(
+      4, kN,
+      [&](u64 i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        finished.fetch_add(1);
+        return i;
+      },
+      [&](u64 i, u64) {
+        most_waiting = std::max(most_waiting, finished.load() - i - 1);
+      });
+  EXPECT_LT(most_waiting, 16u);
 }
 
 // ---------------------------------------------------------------------------

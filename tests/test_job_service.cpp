@@ -4,6 +4,7 @@
 // and the deterministic service log.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -391,6 +392,22 @@ TEST(JobService, RejectionsAndFailuresAreReportedInSubmissionOrder) {
   EXPECT_EQ(outcomes[2].id, "job3");  // default id = submission index
   EXPECT_NE(outcomes[2].error.find("no-such-workload"), std::string::npos);
   EXPECT_NE(log.str().find("served 3 jobs: 0 ok, 3 failed"),
+            std::string::npos);
+}
+
+TEST(JobService, JobWhoseTraceCannotBeWrittenFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string out = tmp_path("pcs_js_full_trace.txt");
+  std::ostringstream jobs;
+  jobs << R"({"kind": "sim", "id": "s1", "refs": 2000, "out": ")" << out
+       << R"(", "trace": "/dev/full"})" << "\n";
+  std::istringstream in(jobs.str());
+  std::ostringstream log;
+  const std::vector<JobOutcome> outcomes = JobService(1).serve(in, log);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_EQ(outcomes[0].error, "write failed for trace file: /dev/full");
+  EXPECT_NE(log.str().find("served 1 jobs: 0 ok, 1 failed"),
             std::string::npos);
 }
 

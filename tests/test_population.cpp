@@ -398,43 +398,6 @@ TEST(PopulationEngine, CheckpointRoundTripsAndResumesByteIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(PopulationEngine, StrictResumeRefusesMismatchedSpecOrCorruptSidecar) {
-  PopulationSpec spec = small_spec(64);
-  const BerModel ber(Technology::soi45());
-  const std::string path =
-      std::string(::testing::TempDir()) + "pcs_pop_ck_bad.txt";
-  std::remove(path.c_str());
-
-  CheckpointOptions ckpt;
-  ckpt.path = path;
-  PopulationEngine(ber, 1).run(spec, nullptr, &ckpt);
-
-  ckpt.resume = true;
-  ckpt.strict_resume = true;
-  PopulationSpec other = spec;
-  other.num_chips += 1;
-  EXPECT_THROW(PopulationEngine(ber, 1).run(other, nullptr, &ckpt),
-               std::runtime_error);
-  // A sigma change is also a different run (the fingerprint covers the
-  // fault model, not just the spec fields).
-  const BerModel wider(ber.mu(), ber.sigma() * 1.15);
-  EXPECT_THROW(PopulationEngine(wider, 1).run(spec, nullptr, &ckpt),
-               std::runtime_error);
-
-  {
-    std::ofstream f(path, std::ios::trunc);
-    f << "pcs-population-checkpoint v1\nfingerprint 1\n";  // truncated
-  }
-  EXPECT_THROW(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt),
-               std::runtime_error);
-
-  // A missing sidecar is not an error: the run simply starts fresh.
-  std::remove(path.c_str());
-  EXPECT_EQ(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt),
-            PopulationEngine(ber, 1).run(spec));
-  std::remove(path.c_str());
-}
-
 namespace {
 
 std::string slurp_file(const std::string& path) {
@@ -451,9 +414,58 @@ void spit_file(const std::string& path, const std::string& content) {
 
 }  // namespace
 
-// Default (non-strict) resume: every sidecar rejection path falls back to
-// a clean start whose result and report are byte-identical to an
-// uninterrupted run, and the next save overwrites the bad sidecar.
+TEST(PopulationEngine, RejectedSidecarWarningNamesPathAndCheck) {
+  PopulationSpec spec = small_spec(64);
+  const BerModel ber(Technology::soi45());
+  const std::string path =
+      std::string(::testing::TempDir()) + "pcs_pop_ck_bad.txt";
+  std::remove(path.c_str());
+
+  CheckpointOptions ckpt;
+  ckpt.path = path;
+  PopulationEngine(ber, 1).run(spec, nullptr, &ckpt);
+  const std::string valid = slurp_file(path);
+
+  // Resuming `s` under `model` from the sidecar at `path` starts fresh,
+  // with a warning on stderr naming the path and `check`.
+  ckpt.resume = true;
+  const auto expect_warning = [&](const BerModel& model,
+                                  const PopulationSpec& s,
+                                  const std::string& check) {
+    const PopulationEngine engine(model, 1);
+    ::testing::internal::CaptureStderr();
+    const PopulationResult r = engine.run(s, nullptr, &ckpt);
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(r, engine.run(s)) << check;
+    EXPECT_NE(warning.find("checkpoint sidecar rejected, starting fresh"),
+              std::string::npos)
+        << warning;
+    EXPECT_NE(warning.find("'" + path + "'"), std::string::npos) << warning;
+    EXPECT_NE(warning.find(check), std::string::npos) << warning;
+  };
+  PopulationSpec other = spec;
+  other.num_chips += 1;
+  expect_warning(ber, other, "fingerprint mismatch");
+  // A sigma change is also a different run (the fingerprint covers the
+  // fault model, not just the spec fields).
+  const BerModel wider(ber.mu(), ber.sigma() * 1.15);
+  spit_file(path, valid);
+  expect_warning(wider, spec, "fingerprint mismatch");
+  spit_file(path, valid.substr(0, valid.find("shards_done")));
+  expect_warning(ber, spec, "truncated at shards_done");
+
+  // A missing sidecar is not an error: the run starts fresh, silently.
+  std::remove(path.c_str());
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt),
+            PopulationEngine(ber, 1).run(spec));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  std::remove(path.c_str());
+}
+
+// Every sidecar rejection path falls back to a clean start whose result
+// and report are byte-identical to an uninterrupted run, and the next save
+// overwrites the bad sidecar.
 TEST(PopulationEngine, RejectedSidecarFallsBackToCleanStart) {
   PopulationSpec spec = small_spec(64);
   spec.chips_per_shard = 16;  // 4 shards
@@ -641,16 +653,18 @@ TEST(PopulationEngine, ResumesASidecarWrittenBeforeRunFleet) {
   EXPECT_THROW(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt), StopRun);
   EXPECT_EQ(slurp_file(path), kOldPopulationSidecar);
 
-  // ... and the old sidecar resumes: only shard 2 runs, and the report is
-  // byte-identical to an uninterrupted run's.
+  // ... and the old sidecar resumes without a warning: only shard 2 runs,
+  // and the report is byte-identical to an uninterrupted run's.
   spit_file(path, kOldPopulationSidecar);
   ckpt.on_checkpoint = nullptr;
   ckpt.resume = true;
-  ckpt.strict_resume = true;
   MemoryTraceSink mem;
+  ::testing::internal::CaptureStderr();
   const PopulationResult resumed =
       PopulationEngine(ber, 1).run(spec, &mem, &ckpt);
-  EXPECT_EQ(mem.records().size(), 1u);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ASSERT_EQ(mem.records().size(), 1u);
+  EXPECT_EQ(std::get<u64>(mem.records()[0].fields()[0].value), 2u);
   const PopulationResult fresh = PopulationEngine(ber, 1).run(spec);
   EXPECT_EQ(resumed, fresh);
   std::ostringstream a, b;
@@ -678,12 +692,17 @@ TEST(PopulationGridEngine, ResumesASidecarWrittenBeforeRunFleet) {
                StopRun);
   EXPECT_EQ(slurp_file(path), kOldGridSidecar);
 
+  // The old sidecar resumes without a warning: shards 1 and 2 run, so the
+  // saves after them are the only ones.
   spit_file(path, kOldGridSidecar);
-  ckpt.on_checkpoint = nullptr;
+  std::vector<u64> saves;
+  ckpt.on_checkpoint = [&saves](u64 done) { saves.push_back(done); };
   ckpt.resume = true;
-  ckpt.strict_resume = true;
+  ::testing::internal::CaptureStderr();
   const PopulationGridResult resumed =
       PopulationGridEngine(ber, 1).run(spec, nullptr, &ckpt);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(saves, (std::vector<u64>{2, 3}));
   const PopulationGridResult fresh = PopulationGridEngine(ber, 1).run(spec);
   EXPECT_EQ(grid_results(resumed), grid_results(fresh));
   std::ostringstream a, b;
@@ -752,9 +771,8 @@ std::vector<SidecarEdit> sidecar_edits() {
   };
 }
 
-/// Resumes `run` from each edit of the `valid` sidecar: a lenient resume
-/// warns on stderr naming the check and matches a fresh run; a strict one
-/// throws std::runtime_error naming the path and the check.
+/// Resumes `run` from each edit of the `valid` sidecar: the resume warns on
+/// stderr naming the path and the check, and matches a fresh run.
 template <class Run>
 void expect_every_edit_rejected(const std::string& valid,
                                 const std::string& path, const Run& run) {
@@ -767,23 +785,13 @@ void expect_every_edit_rejected(const std::string& valid,
     ckpt.resume = true;
     spit_file(path, edited);
     ::testing::internal::CaptureStderr();
-    const auto lenient = run(&ckpt);
+    const auto resumed = run(&ckpt);
     const std::string warning = ::testing::internal::GetCapturedStderr();
-    EXPECT_TRUE(lenient == fresh) << e.check;
+    EXPECT_TRUE(resumed == fresh) << e.check;
     EXPECT_NE(warning.find("rejected, starting fresh"), std::string::npos)
         << warning;
+    EXPECT_NE(warning.find("'" + path + "'"), std::string::npos) << warning;
     EXPECT_NE(warning.find(e.check), std::string::npos) << warning;
-
-    spit_file(path, edited);
-    ckpt.strict_resume = true;
-    try {
-      (void)run(&ckpt);
-      ADD_FAILURE() << "strict resume accepted: " << e.check;
-    } catch (const std::runtime_error& ex) {
-      const std::string what = ex.what();
-      EXPECT_NE(what.find("'" + path + "'"), std::string::npos) << what;
-      EXPECT_NE(what.find(e.check), std::string::npos) << what;
-    }
   }
   std::remove(path.c_str());
 }

@@ -237,7 +237,7 @@ TEST(PopulationGridEngine, CheckpointResumeIsByteIdentical) {
   std::remove(path.c_str());
 }
 
-TEST(PopulationGridEngine, StrictResumeRefusesAMismatchedSpec) {
+TEST(PopulationGridEngine, MismatchedSpecWarningNamesPathAndCheck) {
   PopulationGridSpec spec = small_grid(140);
   const BerModel ber(Technology::soi45());
   const std::string path = tmp_path("pcs_grid_ck_mismatch.txt");
@@ -246,13 +246,25 @@ TEST(PopulationGridEngine, StrictResumeRefusesAMismatchedSpec) {
   CheckpointOptions ckpt;
   ckpt.path = path;
   ckpt.every_shards = 0;  // only the final save
-  ckpt.strict_resume = true;
   PopulationGridEngine(ber, 1).run(spec, nullptr, &ckpt);
 
   ckpt.resume = true;
   spec.base.seed += 1;  // a different fleet entirely
-  EXPECT_THROW(PopulationGridEngine(ber, 1).run(spec, nullptr, &ckpt),
-               std::runtime_error);
+  ::testing::internal::CaptureStderr();
+  const PopulationGridResult resumed =
+      PopulationGridEngine(ber, 1).run(spec, nullptr, &ckpt);
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  const PopulationGridResult fresh = PopulationGridEngine(ber, 1).run(spec);
+  ASSERT_EQ(resumed.points.size(), fresh.points.size());
+  for (std::size_t p = 0; p < fresh.points.size(); ++p) {
+    EXPECT_EQ(resumed.points[p].result, fresh.points[p].result) << p;
+  }
+  EXPECT_NE(warning.find("checkpoint sidecar rejected, starting fresh"),
+            std::string::npos)
+      << warning;
+  EXPECT_NE(warning.find("'" + path + "'"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("fingerprint mismatch"), std::string::npos)
+      << warning;
   std::remove(path.c_str());
 }
 

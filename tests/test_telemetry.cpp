@@ -6,9 +6,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -107,6 +109,27 @@ TEST(CsvTraceSink, OneFilePerRecordTypeWithHeader) {
   std::getline(beta, l2);
   EXPECT_EQ(l1, "v");
   EXPECT_EQ(l2, "0.5");
+}
+
+TEST(JsonlTraceSink, WriteToFullDeviceThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  {
+    // A short trace fits in the stream's buffer: finish() reports it.
+    JsonlTraceSink sink(std::string("/dev/full"));
+    emit_trace_header(sink);
+    try {
+      sink.finish();
+      ADD_FAILURE() << "finish() accepted a failed write";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "write failed for trace file: /dev/full");
+    }
+  }
+  // A long one fails at the emit whose write overflows the buffer.
+  JsonlTraceSink sink(std::string("/dev/full"));
+  TraceRecord rec("example");
+  rec.field("name", std::string(100, 'x'));
+  EXPECT_THROW(
+      for (int i = 0; i < 10'000; ++i) sink.emit(rec), std::runtime_error);
 }
 
 TEST(TraceHeader, CarriesSchemaVersion) {
