@@ -196,7 +196,6 @@ int main(int argc, char** argv) {
     std::unique_ptr<TraceSink> sink;
     if (const char* path = std::getenv("PCS_TRACE")) {
       sink = make_trace_sink(path);
-      emit_trace_header(*sink);
     }
     std::cout << "== FIG4: gem5-style simulation sweep (" << fmt_count(refs)
               << " measured refs per run; set PCS_REFS to change) ==\n";

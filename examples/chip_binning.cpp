@@ -12,20 +12,21 @@
 // calibration); a malformed, non-finite or negative sigma exits 2 with a
 // message. --checkpoint enables the shard-range sidecar; --resume skips
 // the completed shard prefix of an earlier run; --checkpoint-stop-after N is
-// the CI/test hook that kills the process (exit 3) after the Nth sidecar
+// the test hook that kills the process (exit 3) after the Nth sidecar
 // write, leaving a genuinely torn run behind for a resume to finish.
 //
-// Runs on PCS_THREADS workers; the report is byte-identical at any thread
-// count and any shard size -- and for a resumed run -- and matches a
-// `population` job submitted to `pcs_sim --serve` with the same parameters.
-// PCS_TRACE writes the population_shard telemetry stream (TELEMETRY.md).
+// Every run, the hook's included, goes through run_population_job: the run
+// path of a `population` job submitted to `pcs_sim --serve`, so the report
+// matches that job's output with the same parameters. It runs on
+// PCS_THREADS workers and is byte-identical at any thread count and any
+// shard size -- and for a resumed run. PCS_TRACE writes the
+// population_shard telemetry stream (TELEMETRY.md).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <iostream>
 #include <memory>
-#include <string>
 
 #include "exp/job_service.hpp"
 #include "exp/thread_pool.hpp"
@@ -45,11 +46,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--checkpoint") == 0 && i + 1 < argc) {
-      job.checkpoint = argv[++i];
+      job.ckpt.path = argv[++i];
     } else if (std::strcmp(arg, "--checkpoint-shards") == 0 && i + 1 < argc) {
-      job.checkpoint_shards = cli_u64(kProg, arg, argv[++i]);
+      job.ckpt.every_shards = cli_u64(kProg, arg, argv[++i]);
     } else if (std::strcmp(arg, "--resume") == 0) {
-      job.resume = true;
+      job.ckpt.resume = true;
     } else if (std::strcmp(arg, "--checkpoint-stop-after") == 0 &&
                i + 1 < argc) {
       stop_after = cli_u64(kProg, arg, argv[++i]);
@@ -86,37 +87,16 @@ int main(int argc, char** argv) {
     }
   }
   if (pos < 1) job.spec.num_chips = 500;
+  if (stop_after > 0) {
+    job.ckpt.on_checkpoint = [stop_after, saves = u64{0}](u64) mutable {
+      if (++saves >= stop_after) std::_Exit(3);
+    };
+  }
 
   try {
     std::unique_ptr<TraceSink> sink;
-    if (const char* env = std::getenv("PCS_TRACE")) {
-      sink = make_trace_sink(env);
-      emit_trace_header(*sink);
-    }
-    if (stop_after > 0) {
-      // Test hook: run the engine directly so the on_checkpoint callback
-      // can tear the process down mid-run (the normal path below is the
-      // byte-identity surface shared with the service).
-      const BerModel ber = job.sigma == 0.0
-                               ? BerModel(Technology::soi45())
-                               : BerModel(Technology::soi45().ber_mu,
-                                          job.sigma);
-      const PopulationEngine engine(ber, pcs_thread_count());
-      CheckpointOptions ckpt;
-      ckpt.path = job.checkpoint;
-      ckpt.every_shards = job.checkpoint_shards;
-      ckpt.resume = job.resume;
-      u64 saves = 0;
-      ckpt.on_checkpoint = [&](u64) {
-        if (++saves >= stop_after) std::_Exit(3);
-      };
-      const PopulationResult result = engine.run(job.spec, sink.get(), &ckpt);
-      render_population_report(job.spec, result, std::cout);
-    } else {
-      // Same run + render path as a service-mode "population" job, so the
-      // standalone report is byte-identical to the job's output file.
-      run_population_job(job, std::cout, pcs_thread_count(), sink.get());
-    }
+    if (const char* env = std::getenv("PCS_TRACE")) sink = make_trace_sink(env);
+    run_population_job(job, std::cout, pcs_thread_count(), sink.get());
     if (sink) sink->finish();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "chip_binning: %s\n", e.what());

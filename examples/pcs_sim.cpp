@@ -190,10 +190,7 @@ int main(int argc, char** argv) {
     // Same run + render path as a service-mode "sim" job, which is what
     // makes a job's output file byte-identical to this standalone run.
     std::unique_ptr<TraceSink> sink;
-    if (!o.job.trace_path.empty()) {
-      sink = make_trace_sink(o.job.trace_path);
-      emit_trace_header(*sink);
-    }
+    if (!o.job.trace_path.empty()) sink = make_trace_sink(o.job.trace_path);
     run_sim_job(o.job, std::cout, pcs_thread_count(), sink.get());
     if (sink) sink->finish();
   } catch (const std::exception& e) {

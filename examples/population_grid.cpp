@@ -12,13 +12,17 @@
 //       [--checkpoint-stop-after N]
 //
 // Defaults: sizes 64, assocs 4, sigmas empty (the soi45 calibration).
-// --out-dir additionally writes one chip_binning-style report per point
-// (point_<size>kb_<ways>w_s<i>.txt), byte-identical to the standalone CLI
-// with the same parameters -- the CI grid-determinism smoke `cmp`s exactly
-// this. The checkpoint flags mirror chip_binning's; the summary report is
-// byte-identical at any thread count, any shard size, and across a
-// kill+resume. PCS_TRACE writes the population_grid_point telemetry stream
-// (TELEMETRY.md).
+// The run goes through run_population_grid_job, the run path of a
+// `population_grid` job submitted to `pcs_sim --serve`, so the summary
+// matches that job's output. --out-dir additionally writes one
+// chip_binning-style report per returned point
+// (point_<size>kb_<ways>w_s<i>.txt, i the sigma's index), byte-identical
+// to the standalone CLI with the same parameters -- the CI grid-determinism
+// smoke `cmp`s exactly this. The checkpoint flags mirror chip_binning's,
+// --checkpoint-stop-after included; the summary report is byte-identical at
+// any thread count, any shard size, and across a kill+resume. PCS_TRACE
+// writes the population_grid_point telemetry stream (TELEMETRY.md); a trace
+// that cannot be written exits 2 after the summary is printed.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,11 +85,11 @@ std::vector<double> parse_real_csv(const char* flag, const char* s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  PopulationGridSpec spec;
+  PopulationGridJobSpec job;
+  PopulationGridSpec& spec = job.spec;
   spec.base.num_chips = 500;
-  std::string out_dir, checkpoint;
-  u64 checkpoint_shards = 16, stop_after = 0;
-  bool resume = false;
+  std::string out_dir;
+  u64 stop_after = 0;
   int pos = 0;
   try {
     for (int i = 1; i < argc; ++i) {
@@ -102,12 +106,12 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(arg, "--out-dir") == 0 && i + 1 < argc) {
         out_dir = argv[++i];
       } else if (std::strcmp(arg, "--checkpoint") == 0 && i + 1 < argc) {
-        checkpoint = argv[++i];
+        job.ckpt.path = argv[++i];
       } else if (std::strcmp(arg, "--checkpoint-shards") == 0 &&
                  i + 1 < argc) {
-        checkpoint_shards = cli_u64(kProg, arg, argv[++i]);
+        job.ckpt.every_shards = cli_u64(kProg, arg, argv[++i]);
       } else if (std::strcmp(arg, "--resume") == 0) {
-        resume = true;
+        job.ckpt.resume = true;
       } else if (std::strcmp(arg, "--checkpoint-stop-after") == 0 &&
                  i + 1 < argc) {
         stop_after = cli_u64(kProg, arg, argv[++i]);
@@ -126,44 +130,33 @@ int main(int argc, char** argv) {
       }
     }
 
-    std::unique_ptr<TraceSink> sink;
-    if (const char* env = std::getenv("PCS_TRACE")) {
-      sink = make_trace_sink(env);
-      emit_trace_header(*sink);
-    }
-
-    const BerModel ber(Technology::soi45());
-    const PopulationGridEngine engine(ber, pcs_thread_count());
-    CheckpointOptions ckpt;
-    ckpt.path = checkpoint;
-    ckpt.every_shards = checkpoint_shards;
-    ckpt.resume = resume;
-    u64 saves = 0;
     if (stop_after > 0) {
       // Test hook: tear the process down after the Nth sidecar write (exit
       // 3) so the CI smoke can resume a genuinely torn run.
-      ckpt.on_checkpoint = [&](u64) {
+      job.ckpt.on_checkpoint = [stop_after, saves = u64{0}](u64) mutable {
         if (++saves >= stop_after) std::_Exit(3);
       };
     }
-    const PopulationGridResult result = engine.run(
-        spec, sink.get(), ckpt.path.empty() ? nullptr : &ckpt);
+    std::unique_ptr<TraceSink> sink;
+    if (const char* env = std::getenv("PCS_TRACE")) sink = make_trace_sink(env);
+    const PopulationGridResult result = run_population_grid_job(
+        job, std::cout, pcs_thread_count(), sink.get());
     if (sink) sink->finish();
-    render_population_grid_report(spec, result, std::cout);
 
     if (!out_dir.empty()) {
       // One standalone-equivalent report per point: the render path and the
       // (spec, result) pair are exactly chip_binning's, so the bytes match
-      // `chip_binning chips size assoc seed shard_chips sigma`.
+      // `chip_binning chips size assoc seed shard_chips sigma`. Points come
+      // sigma-minor, so a point's sigma index is its index mod the axis.
       std::filesystem::create_directories(out_dir);
-      for (const PopulationGridPointResult& pt : result.points) {
-        std::size_t gi = 0;
-        const std::vector<Volt> sigmas = spec.sigma_axis(ber.sigma());
-        while (gi < sigmas.size() && sigmas[gi] != pt.sigma) ++gi;
+      const std::size_t num_sigmas =
+          spec.sigmas.empty() ? 1 : spec.sigmas.size();
+      for (std::size_t i = 0; i < result.points.size(); ++i) {
+        const PopulationGridPointResult& pt = result.points[i];
         char name[128];
         std::snprintf(name, sizeof name, "point_%llukb_%uw_s%zu.txt",
                       static_cast<unsigned long long>(pt.size_kb), pt.assoc,
-                      gi);
+                      i % num_sigmas);
         const std::string path = out_dir + "/" + name;
         std::ofstream f(path, std::ios::binary | std::ios::trunc);
         if (!f) {

@@ -73,7 +73,6 @@ class CpuModel final : public CycleClock {
   Second elapsed_seconds() const noexcept {
     return static_cast<double>(stats_.cycles) / clock_hz_;
   }
-  double clock_hz() const noexcept { return clock_hz_; }
   Hierarchy& hierarchy() noexcept { return *hier_; }
 
  private:

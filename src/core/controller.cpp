@@ -17,7 +17,9 @@ PcsController::PcsController(CacheLevel& cache, WritebackSink& sink,
       mech_(std::move(mechanism)),
       policy_(std::move(policy)),
       meter_(std::move(meter)),
-      interval_accesses_(interval_accesses) {}
+      interval_accesses_(interval_accesses) {
+  stats_.cycles_at_level.resize(mech_->ladder().num_levels() + 1);
+}
 
 PcsController::PcsController(CacheLevel& cache, CycleClock& cpu,
                              EnergyMeter meter)
@@ -152,10 +154,7 @@ void PcsController::do_transition(u32 want) {
 
 void PcsController::account_level_cycles(Cycle now) {
   if (mech_) {
-    const u32 lvl = mech_->current_level();
-    if (lvl < stats_.cycles_at_level.size()) {
-      stats_.cycles_at_level[lvl] += now - level_since_;
-    }
+    stats_.cycles_at_level[mech_->current_level()] += now - level_since_;
   }
   level_since_ = now;
 }
@@ -171,7 +170,9 @@ void PcsController::finalize() {
 
 void PcsController::reset_measurement() {
   meter_.reset(cpu_->cycles());
+  const std::size_t levels = stats_.cycles_at_level.size();
   stats_ = ControllerStats{};
+  stats_.cycles_at_level.resize(levels);
   stall_at_last_emit_ = 0;
   level_since_ = cpu_->cycles();
   if (trace_) {

@@ -13,6 +13,7 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cache/cpu_model.hpp"
 #include "cache/hierarchy.hpp"
@@ -28,8 +29,9 @@ struct ControllerStats {
   u32 transitions = 0;
   u64 transition_writebacks = 0;
   Cycle transition_stall_cycles = 0;
-  /// Cycles spent at each 1-based level (index 0 unused).
-  std::array<Cycle, 9> cycles_at_level{};
+  /// Cycles spent at each 1-based level (index 0 unused): num_levels() + 1
+  /// entries for a PCS controller's ladder, none for a baseline one.
+  std::vector<Cycle> cycles_at_level;
 };
 
 /// Governs one cache level.

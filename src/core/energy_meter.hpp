@@ -65,7 +65,6 @@ class EnergyMeter {
   Volt average_vdd() const noexcept;
 
   Volt current_vdd() const noexcept { return vdd_; }
-  Cycle last_cycle() const noexcept { return last_cycle_; }
   const CachePowerModel& model() const noexcept { return model_; }
 
  private:

@@ -331,6 +331,48 @@ std::vector<double> parse_real_list(const std::string& s, const char* key) {
   return out;
 }
 
+/// The ten keys sim and trace_replay jobs share, read onto either spec.
+template <class Spec>
+void read_sim_keys(const JsonObj& o, Spec& s) {
+  s.id = jstr(o, "id", "");
+  s.config = jstr(o, "config", s.config);
+  if (s.config != "A" && s.config != "B") {
+    bad_job("job key 'config': must be \"A\" or \"B\"");
+  }
+  s.policy = jstr(o, "policy", s.policy);
+  if (s.policy != "baseline" && s.policy != "spcs" && s.policy != "dpcs" &&
+      s.policy != "all") {
+    bad_job("job key 'policy': must be baseline, spcs, dpcs, or all");
+  }
+  s.refs = jnum(o, "refs", s.refs);
+  s.warmup = jnum(o, "warmup", s.warmup);
+  s.chip_seed = jnum(o, "chip_seed", s.chip_seed);
+  s.levels = jlevels(o, s.levels);
+  s.csv = jbool(o, "csv", s.csv);
+  s.out = jstr(o, "out", "");
+  s.trace_path = jstr(o, "trace", "");
+}
+
+/// The thirteen keys population and population_grid jobs share: the
+/// fleet `b` (chips, seed, shard size, ladder, SPCS target), the job's
+/// artifacts and its checkpoint.
+template <class Spec>
+void read_fleet_keys(const JsonObj& o, PopulationSpec& b, Spec& j) {
+  j.id = jstr(o, "id", "");
+  b.num_chips = jnum(o, "chips", b.num_chips);
+  b.seed = jnum(o, "seed", b.seed);
+  b.chips_per_shard = jnum(o, "shard_chips", b.chips_per_shard);
+  b.grid_lo = jreal(o, "grid_lo", b.grid_lo);
+  b.grid_hi = jreal(o, "grid_hi", b.grid_hi);
+  b.grid_step = jreal(o, "grid_step", b.grid_step);
+  b.spcs_min_capacity = jreal(o, "min_capacity", b.spcs_min_capacity);
+  j.out = jstr(o, "out", "");
+  j.trace_path = jstr(o, "trace", "");
+  j.ckpt.path = jstr(o, "checkpoint", "");
+  j.ckpt.every_shards = jnum(o, "checkpoint_shards", j.ckpt.every_shards);
+  j.ckpt.resume = jbool(o, "resume", j.ckpt.resume);
+}
+
 }  // namespace
 
 Job parse_job_line(const std::string& line) {
@@ -340,30 +382,13 @@ Job parse_job_line(const std::string& line) {
   if (kind == kind_name(Job::Kind::kSim)) {
     job.kind = Job::Kind::kSim;
     SimJobSpec& s = job.sim;
-    s.id = jstr(o, "id", "");
-    s.config = jstr(o, "config", s.config);
-    if (s.config != "A" && s.config != "B") {
-      bad_job("job key 'config': must be \"A\" or \"B\"");
-    }
-    s.policy = jstr(o, "policy", s.policy);
-    if (s.policy != "baseline" && s.policy != "spcs" && s.policy != "dpcs" &&
-        s.policy != "all") {
-      bad_job("job key 'policy': must be baseline, spcs, dpcs, or all");
-    }
+    read_sim_keys(o, s);
     s.workload = jstr(o, "workload", s.workload);
-    s.refs = jnum(o, "refs", s.refs);
-    s.warmup = jnum(o, "warmup", s.warmup);
-    s.chip_seed = jnum(o, "chip_seed", s.chip_seed);
     s.trace_seed = jnum(o, "trace_seed", s.trace_seed);
-    s.levels = jlevels(o, s.levels);
-    s.csv = jbool(o, "csv", s.csv);
-    s.out = jstr(o, "out", "");
-    s.trace_path = jstr(o, "trace", "");
   } else if (kind == kind_name(Job::Kind::kPopulation)) {
     job.kind = Job::Kind::kPopulation;
     PopulationJobSpec& p = job.population;
-    p.id = jstr(o, "id", "");
-    p.spec.num_chips = jnum(o, "chips", p.spec.num_chips);
+    read_fleet_keys(o, p.spec, p);
     const u64 size_kb = jnum(o, "size_kb", 64);
     if (size_kb > PopulationGridSpec::kMaxSizeKb) {
       bad_job("job key 'size_kb': " + std::to_string(size_kb) +
@@ -371,36 +396,15 @@ Job parse_job_line(const std::string& line) {
     }
     p.spec.org.size_bytes = size_kb * 1024;
     p.spec.org.assoc = to_assoc(jnum(o, "assoc", p.spec.org.assoc), "assoc");
-    p.spec.seed = jnum(o, "seed", p.spec.seed);
-    p.spec.chips_per_shard =
-        jnum(o, "shard_chips", p.spec.chips_per_shard);
-    p.spec.grid_lo = jreal(o, "grid_lo", p.spec.grid_lo);
-    p.spec.grid_hi = jreal(o, "grid_hi", p.spec.grid_hi);
-    p.spec.grid_step = jreal(o, "grid_step", p.spec.grid_step);
-    p.spec.spcs_min_capacity =
-        jreal(o, "min_capacity", p.spec.spcs_min_capacity);
     p.sigma = jreal(o, "sigma", p.sigma);
     if (!std::isfinite(p.sigma) || p.sigma < 0.0) {
       bad_job("job key 'sigma': must be finite and positive (or 0 for the "
               "soi45 default)");
     }
-    p.out = jstr(o, "out", "");
-    p.trace_path = jstr(o, "trace", "");
-    p.checkpoint = jstr(o, "checkpoint", "");
-    p.checkpoint_shards = jnum(o, "checkpoint_shards", p.checkpoint_shards);
-    p.resume = jbool(o, "resume", p.resume);
   } else if (kind == kind_name(Job::Kind::kPopulationGrid)) {
     job.kind = Job::Kind::kPopulationGrid;
     PopulationGridJobSpec& g = job.population_grid;
-    g.id = jstr(o, "id", "");
-    PopulationSpec& b = g.spec.base;
-    b.num_chips = jnum(o, "chips", b.num_chips);
-    b.seed = jnum(o, "seed", b.seed);
-    b.chips_per_shard = jnum(o, "shard_chips", b.chips_per_shard);
-    b.grid_lo = jreal(o, "grid_lo", b.grid_lo);
-    b.grid_hi = jreal(o, "grid_hi", b.grid_hi);
-    b.grid_step = jreal(o, "grid_step", b.grid_step);
-    b.spcs_min_capacity = jreal(o, "min_capacity", b.spcs_min_capacity);
+    read_fleet_keys(o, g.spec.base, g);
     g.spec.sizes_kb = parse_u64_list(jstr(o, "sizes_kb", "64"), "sizes_kb");
     g.spec.assocs.clear();
     for (const u64 a : parse_u64_list(jstr(o, "assocs", "4"), "assocs")) {
@@ -412,36 +416,15 @@ Job parse_job_line(const std::string& line) {
         g.spec.sigmas = parse_real_list(sigmas, "sigmas");
       }
     }
-    g.out = jstr(o, "out", "");
-    g.trace_path = jstr(o, "trace", "");
-    g.checkpoint = jstr(o, "checkpoint", "");
-    g.checkpoint_shards = jnum(o, "checkpoint_shards", g.checkpoint_shards);
-    g.resume = jbool(o, "resume", g.resume);
     g.spec.validate();
   } else if (kind == kind_name(Job::Kind::kTraceReplay)) {
     job.kind = Job::Kind::kTraceReplay;
     TraceReplayJobSpec& t = job.trace_replay;
-    t.id = jstr(o, "id", "");
+    read_sim_keys(o, t);
     t.file = jstr(o, "file", "");
     if (t.file.empty()) {
       bad_job("job key 'file' is required for kind 'trace_replay'");
     }
-    t.config = jstr(o, "config", t.config);
-    if (t.config != "A" && t.config != "B") {
-      bad_job("job key 'config': must be \"A\" or \"B\"");
-    }
-    t.policy = jstr(o, "policy", t.policy);
-    if (t.policy != "baseline" && t.policy != "spcs" && t.policy != "dpcs" &&
-        t.policy != "all") {
-      bad_job("job key 'policy': must be baseline, spcs, dpcs, or all");
-    }
-    t.refs = jnum(o, "refs", t.refs);
-    t.warmup = jnum(o, "warmup", t.warmup);
-    t.chip_seed = jnum(o, "chip_seed", t.chip_seed);
-    t.levels = jlevels(o, t.levels);
-    t.csv = jbool(o, "csv", t.csv);
-    t.out = jstr(o, "out", "");
-    t.trace_path = jstr(o, "trace", "");
   } else {
     bad_job("unknown job kind '" + kind +
             "' (known: sim, population, population_grid, trace_replay)");
@@ -543,37 +526,25 @@ BerModel job_ber_model(Volt sigma) {
   return BerModel(tech.ber_mu, sigma);
 }
 
-CheckpointOptions job_checkpoint(const std::string& path, u64 every_shards,
-                                 bool resume) {
-  CheckpointOptions ckpt;
-  ckpt.path = path;
-  ckpt.every_shards = every_shards;
-  ckpt.resume = resume;
-  return ckpt;
-}
-
 }  // namespace
 
 void run_population_job(const PopulationJobSpec& j, std::ostream& out,
                         u32 num_threads, TraceSink* trace) {
   const BerModel ber = job_ber_model(j.sigma);
-  const PopulationEngine engine(ber, num_threads);
-  const CheckpointOptions ckpt =
-      job_checkpoint(j.checkpoint, j.checkpoint_shards, j.resume);
   const PopulationResult result =
-      engine.run(j.spec, trace, ckpt.path.empty() ? nullptr : &ckpt);
+      PopulationEngine(ber, num_threads).run(j.spec, trace, &j.ckpt);
   render_population_report(j.spec, result, out);
 }
 
-void run_population_grid_job(const PopulationGridJobSpec& j, std::ostream& out,
-                             u32 num_threads, TraceSink* trace) {
+PopulationGridResult run_population_grid_job(const PopulationGridJobSpec& j,
+                                             std::ostream& out,
+                                             u32 num_threads,
+                                             TraceSink* trace) {
   const BerModel ber(Technology::soi45());
-  const PopulationGridEngine engine(ber, num_threads);
-  const CheckpointOptions ckpt =
-      job_checkpoint(j.checkpoint, j.checkpoint_shards, j.resume);
-  const PopulationGridResult result =
-      engine.run(j.spec, trace, ckpt.path.empty() ? nullptr : &ckpt);
+  PopulationGridResult result =
+      PopulationGridEngine(ber, num_threads).run(j.spec, trace, &j.ckpt);
   render_population_grid_report(j.spec, result, out);
+  return result;
 }
 
 void run_trace_replay_job(const TraceReplayJobSpec& j, std::ostream& out,
@@ -607,10 +578,7 @@ JobOutcome execute_job(const Job& job) {
   const auto t0 = std::chrono::steady_clock::now();
   try {
     std::unique_ptr<TraceSink> sink;
-    if (!job.trace_path().empty()) {
-      sink = make_trace_sink(job.trace_path());
-      emit_trace_header(*sink);
-    }
+    if (!job.trace_path().empty()) sink = make_trace_sink(job.trace_path());
     std::ostringstream body;
     if (job.kind == Job::Kind::kSim) {
       run_sim_job(job.sim, body, 1, sink.get());

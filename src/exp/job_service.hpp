@@ -6,13 +6,15 @@
 // ThreadPool, and writes each job's report to its own output file. Two
 // contracts make this safe to script against:
 //
-//   * Per-job determinism. A job's output file is rendered by the SAME
-//     functions the standalone CLIs use (run_sim_job == pcs_sim,
-//     run_population_job == chip_binning), each job runs its simulation
+//   * Per-job determinism. The run_*_job functions below are the only run
+//     path of each job kind: pcs_sim calls run_sim_job, chip_binning
+//     run_population_job and population_grid run_population_grid_job, with
+//     the same spec structs a job line parses into. Each served job runs
 //     single-threaded (the service parallelism is ACROSS jobs), and every
 //     simulation seed comes from the job description -- so a job's bytes
 //     are identical to its standalone run, at any service concurrency.
-//     CI `cmp`s exactly this.
+//     CI `cmp`s exactly this. The CLIs' --checkpoint-stop-after test hook
+//     is no second path: it only sets the spec's ckpt.on_checkpoint.
 //   * Deterministic service log. Accept/reject lines stream in submission
 //     order as lines are read; completion lines are reported in submission
 //     order after the queue drains; wall-clock timings never appear in the
@@ -62,11 +64,9 @@ struct PopulationJobSpec {
   Volt sigma = 0.0;
   std::string out;
   std::string trace_path;
-  /// Shard-range checkpoint sidecar ("" = no checkpointing); see
-  /// CheckpointOptions.
-  std::string checkpoint;
-  u64 checkpoint_shards = 16;
-  bool resume = false;
+  /// Shard-range checkpointing, handed to the engine as is (path "" = off);
+  /// the CLIs' --checkpoint-stop-after hook sets on_checkpoint.
+  CheckpointOptions ckpt;
 };
 
 /// One grid run (kind "population_grid"), see population_grid.
@@ -75,9 +75,7 @@ struct PopulationGridJobSpec {
   PopulationGridSpec spec;
   std::string out;
   std::string trace_path;
-  std::string checkpoint;  ///< see PopulationJobSpec::checkpoint
-  u64 checkpoint_shards = 16;
-  bool resume = false;
+  CheckpointOptions ckpt;  ///< see PopulationJobSpec::ckpt
 };
 
 /// One recorded-trace replay run (kind "trace_replay"): a simulator run
@@ -136,8 +134,8 @@ struct Job {
   }
   const std::string& checkpoint_path() const noexcept {
     static const std::string kNone;
-    if (kind == Kind::kPopulation) return population.checkpoint;
-    if (kind == Kind::kPopulationGrid) return population_grid.checkpoint;
+    if (kind == Kind::kPopulation) return population.ckpt.path;
+    if (kind == Kind::kPopulationGrid) return population_grid.ckpt.path;
     return kNone;
   }
 };
@@ -153,22 +151,26 @@ Job parse_job_line(const std::string& line);
 /// to `pcs_sim` with the equivalent flags (this IS pcs_sim's run path).
 /// `num_threads` fans the independent policy runs; results are identical at
 /// any value. When `trace` is non-null, buffered per-policy telemetry is
-/// replayed into it in policy order (the caller emits the header).
+/// replayed into it in policy order (no header: make_trace_sink writes it).
 /// Throws std::invalid_argument for an unknown policy.
 void run_sim_job(const SimJobSpec& spec, std::ostream& out, u32 num_threads,
                  TraceSink* trace = nullptr);
 
-/// Runs one population job and renders the binning report to `out` --
-/// byte-identical to `chip_binning` with the equivalent arguments.
+/// Runs one population job and renders the binning report to `out`. This
+/// IS chip_binning's run path, so a job's report is byte-identical to the
+/// CLI's with the equivalent arguments. `spec.ckpt` goes to the engine as
+/// is (an empty path runs without a sidecar).
 void run_population_job(const PopulationJobSpec& spec, std::ostream& out,
                         u32 num_threads, TraceSink* trace = nullptr);
 
-/// Runs one grid job and renders the grid summary to `out` -- byte-identical
-/// to `population_grid` with the equivalent arguments, and every point
-/// bit-identical to its standalone population run.
-void run_population_grid_job(const PopulationGridJobSpec& spec,
-                             std::ostream& out, u32 num_threads,
-                             TraceSink* trace = nullptr);
+/// Runs one grid job, renders the grid summary to `out` and returns the
+/// per-point results (population_grid writes its --out-dir reports from
+/// them). This IS population_grid's run path; every point is bit-identical
+/// to its standalone population run. `spec.ckpt` as in run_population_job.
+PopulationGridResult run_population_grid_job(const PopulationGridJobSpec& spec,
+                                             std::ostream& out,
+                                             u32 num_threads,
+                                             TraceSink* trace = nullptr);
 
 /// Runs one trace-replay job: exactly a "sim" job whose workload is the
 /// recorded file, so the output is byte-identical to
@@ -192,8 +194,6 @@ class JobService {
   /// `num_threads` 0 = pcs_thread_count(); 1 = run jobs inline as their
   /// lines arrive (same outputs, same log).
   explicit JobService(u32 num_threads = 0);
-
-  u32 num_threads() const noexcept { return num_threads_; }
 
   /// Reads jobs from `in` until EOF (blank lines and `#` comments are
   /// skipped), runs them, writes per-job artifacts, and streams the

@@ -266,9 +266,6 @@ class PopulationEngine {
   /// `ber` must outlive the engine. `num_threads` 0 = pcs_thread_count().
   explicit PopulationEngine(const BerModel& ber, u32 num_threads = 0);
 
-  u32 num_threads() const noexcept { return num_threads_; }
-  const BerModel& ber() const noexcept { return *ber_; }
-
   /// Simulates spec.num_chips dies and returns the merged distributions:
   /// run_fleet at the one point (blocks, assoc, the model's sigma) of
   /// `spec.org`. When `trace` is non-null, one deterministic

@@ -79,9 +79,6 @@ class PopulationGridEngine {
   /// `num_threads` 0 = pcs_thread_count().
   explicit PopulationGridEngine(const BerModel& ber, u32 num_threads = 0);
 
-  u32 num_threads() const noexcept { return num_threads_; }
-  const BerModel& ber() const noexcept { return *ber_; }
-
   /// Evaluates every grid point over the shared fleet. When `trace` is
   /// non-null, one deterministic `population_grid_point` record is emitted
   /// per point, in point order, after the run (see TELEMETRY.md). `ckpt`

@@ -49,9 +49,6 @@ class SweepRunner {
  public:
   explicit SweepRunner(const SweepOptions& opt = {});
 
-  u32 num_threads() const noexcept { return num_threads_; }
-  u32 max_lanes() const noexcept { return max_lanes_; }
-
   std::vector<SimReport> run(const ExperimentGrid& grid,
                              TraceSink* trace = nullptr,
                              RunnerStats* stats = nullptr) const;

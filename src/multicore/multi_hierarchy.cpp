@@ -95,7 +95,14 @@ AccessOutcome MultiHierarchy::access(u32 core, const MemRef& ref) {
 
   if (!r1.hit) {
     l2_access(ref.addr, false, out);
-    if (r1.bypassed && ref.write) l2_->access(ref.addr, true);
+    if (r1.bypassed && ref.write) {
+      // The store could not allocate in L1, so L2 captures its data with a
+      // write access. A dirty victim that evicts, or the data itself when
+      // the L2 set is all faulty too, must reach memory (as in Hierarchy).
+      const auto r2 = l2_->access(ref.addr, true);
+      if (r2.writeback) ++mem_writes_;
+      if (r2.bypassed) ++mem_writes_;
+    }
   }
   return out;
 }

@@ -186,18 +186,22 @@ void CsvTraceSink::finish() {
   }
 }
 
-std::unique_ptr<TraceSink> make_trace_sink(const std::string& path) {
-  if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
-    return std::make_unique<CsvTraceSink>(path);
-  }
-  return std::make_unique<JsonlTraceSink>(path);
-}
-
 void emit_trace_header(TraceSink& sink) {
   TraceRecord rec("trace_header");
   rec.field("schema_version", kTelemetrySchemaVersion)
       .field("producer", "pcs-cache");
   sink.emit(rec);
+}
+
+std::unique_ptr<TraceSink> make_trace_sink(const std::string& path) {
+  std::unique_ptr<TraceSink> sink;
+  if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
+    sink = std::make_unique<CsvTraceSink>(path);
+  } else {
+    sink = std::make_unique<JsonlTraceSink>(path);
+  }
+  emit_trace_header(*sink);
+  return sink;
 }
 
 }  // namespace pcs

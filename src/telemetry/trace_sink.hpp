@@ -86,14 +86,6 @@ class TraceSink {
   virtual void finish() {}
 };
 
-/// Discards everything. Instrumentation normally uses a null `TraceSink*`
-/// instead (no record is even built); this exists for overhead measurement
-/// and for APIs that want a non-null sink reference.
-class NullTraceSink final : public TraceSink {
- public:
-  void emit(const TraceRecord&) override {}
-};
-
 /// One JSON object per line: {"type":"interval","cache":"L2",...}.
 /// Doubles are serialized with shortest-round-trip formatting
 /// (std::to_chars), so equal values always produce equal bytes.
@@ -143,7 +135,6 @@ class MemoryTraceSink final : public TraceSink {
   void emit(const TraceRecord& record) override { records_.push_back(record); }
 
   const std::vector<TraceRecord>& records() const noexcept { return records_; }
-  void clear() noexcept { records_.clear(); }
 
   /// Re-emits every buffered record into `sink`, in emission order.
   void replay_into(TraceSink& sink) const {
@@ -154,11 +145,13 @@ class MemoryTraceSink final : public TraceSink {
   std::vector<TraceRecord> records_;
 };
 
-/// Opens the sink a user asked for by path: CSV when the path ends in
-/// ".csv", JSONL otherwise.
+/// Opens the sink a user asked for by path -- CSV when the path ends in
+/// ".csv", JSONL otherwise -- and emits its trace_header record, so every
+/// trace file a front end opens starts with the header.
 std::unique_ptr<TraceSink> make_trace_sink(const std::string& path);
 
-/// Emits the schema_version header record every trace file starts with.
+/// Emits the schema_version header record every trace file starts with
+/// (make_trace_sink emits it into each sink it opens).
 void emit_trace_header(TraceSink& sink);
 
 }  // namespace pcs

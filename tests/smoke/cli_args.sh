@@ -147,6 +147,8 @@ if [ -e /dev/full ]; then
   expect_exit 2 "$examples/pcs_sim" --workload gcc --refs 20000 \
     --trace /dev/full
   expect_exit 2 env PCS_TRACE=/dev/full "$examples/chip_binning" 2000
+  expect_exit 2 env PCS_TRACE=/dev/full "$examples/population_grid" 300 \
+    --sizes 32 --assocs 4
   printf '%s\n' '{"kind": "sim", "id": "full", "refs": 20000, "out": "job-full.txt", "trace": "/dev/full"}' \
     > full-jobs.jsonl
   rc=0

@@ -4,7 +4,7 @@
 # fig3's Monte-Carlo section, chip_binning at any shard size, and a
 # population grid's report and per-point files, which match standalone
 # chip_binning runs -- and the job service writes what the standalone CLIs
-# print.
+# print for a sim, a population and a grid job.
 #
 #   tests/smoke/thread_invariance.sh BENCH_DIR EXAMPLES_DIR
 #
@@ -76,11 +76,13 @@ cmp grid_report.txt grid_report_t1.txt
 cat > jobs.jsonl <<'EOF'
 {"kind": "sim", "id": "hmmer-dpcs", "policy": "dpcs", "refs": 50000, "out": "job-sim.txt", "trace": "job-sim.jsonl"}
 {"kind": "population", "id": "fleet", "chips": 2000, "out": "job-pop.txt"}
+{"kind": "population_grid", "id": "grid", "chips": 2000, "sizes_kb": "32,64", "assocs": "2,4", "sigmas": "0.1426,0.1585,0.1823", "out": "job-grid.txt"}
 EOF
 PCS_THREADS=4 "$examples/pcs_sim" --serve jobs.jsonl
 "$examples/pcs_sim" --policy dpcs --refs 50000 > standalone-sim.txt
 cmp job-sim.txt standalone-sim.txt
 cmp job-pop.txt pop_t1.txt
+cmp job-grid.txt grid_report.txt
 tail -1 job-sim.jsonl | grep -q '"type":"job_profile"'
 
 echo "thread invariance smoke passed"

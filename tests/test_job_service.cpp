@@ -77,16 +77,16 @@ TEST(ParseJobLine, PopulationSigmaAndCheckpointKeysMapOntoTheSpec) {
       R"( "resume": true, "out": "fleet.txt"})");
   EXPECT_EQ(job.kind, Job::Kind::kPopulation);
   EXPECT_NEAR(job.population.sigma, 0.1823, 1e-12);
-  EXPECT_EQ(job.population.checkpoint, "fleet.ck");
+  EXPECT_EQ(job.population.ckpt.path, "fleet.ck");
   EXPECT_EQ(job.checkpoint_path(), "fleet.ck");
-  EXPECT_EQ(job.population.checkpoint_shards, 4u);
-  EXPECT_TRUE(job.population.resume);
+  EXPECT_EQ(job.population.ckpt.every_shards, 4u);
+  EXPECT_TRUE(job.population.ckpt.resume);
   // Defaults: sigma 0 = soi45 calibration, checkpointing off.
   const Job plain = parse_job_line(R"({"kind": "population"})");
   EXPECT_EQ(plain.population.sigma, 0.0);
-  EXPECT_EQ(plain.population.checkpoint, "");
-  EXPECT_EQ(plain.population.checkpoint_shards, 16u);
-  EXPECT_FALSE(plain.population.resume);
+  EXPECT_EQ(plain.population.ckpt.path, "");
+  EXPECT_EQ(plain.population.ckpt.every_shards, 16u);
+  EXPECT_FALSE(plain.population.ckpt.resume);
 }
 
 TEST(ParseJobLine, PopulationGridKeysMapOntoTheSpec) {
@@ -95,7 +95,8 @@ TEST(ParseJobLine, PopulationGridKeysMapOntoTheSpec) {
       R"( "sizes_kb": "32,64", "assocs": "2,4,8", "sigmas": "0.14, 0.1585",)"
       R"( "seed": 7, "shard_chips": 128, "grid_lo": 0.5, "grid_hi": 0.9,)"
       R"( "grid_step": 0.02, "min_capacity": 0.95, "out": "grid.txt",)"
-      R"( "trace": "grid.jsonl", "checkpoint": "grid.ck"})");
+      R"( "trace": "grid.jsonl", "checkpoint": "grid.ck",)"
+      R"( "checkpoint_shards": 3, "resume": true})");
   EXPECT_EQ(job.kind, Job::Kind::kPopulationGrid);
   const PopulationGridJobSpec& g = job.population_grid;
   EXPECT_EQ(g.id, "grid");
@@ -111,12 +112,19 @@ TEST(ParseJobLine, PopulationGridKeysMapOntoTheSpec) {
   EXPECT_NEAR(g.spec.base.spcs_min_capacity, 0.95, 1e-12);
   EXPECT_EQ(g.out, "grid.txt");
   EXPECT_EQ(g.trace_path, "grid.jsonl");
-  EXPECT_EQ(g.checkpoint, "grid.ck");
-  // Defaults: one 64 KB 4-way point at the calibration sigma.
+  EXPECT_EQ(g.ckpt.path, "grid.ck");
+  EXPECT_EQ(job.checkpoint_path(), "grid.ck");
+  EXPECT_EQ(g.ckpt.every_shards, 3u);
+  EXPECT_TRUE(g.ckpt.resume);
+  // Defaults: one 64 KB 4-way point at the calibration sigma, no
+  // checkpointing.
   const Job plain = parse_job_line(R"({"kind": "population_grid"})");
   EXPECT_EQ(plain.population_grid.spec.sizes_kb, (std::vector<u64>{64}));
   EXPECT_EQ(plain.population_grid.spec.assocs, (std::vector<u32>{4}));
   EXPECT_TRUE(plain.population_grid.spec.sigmas.empty());
+  EXPECT_EQ(plain.population_grid.ckpt.path, "");
+  EXPECT_EQ(plain.population_grid.ckpt.every_shards, 16u);
+  EXPECT_FALSE(plain.population_grid.ckpt.resume);
 }
 
 TEST(ParseJobLine, RejectsMalformedAndOffSchemaLines) {

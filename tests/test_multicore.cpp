@@ -98,6 +98,37 @@ TEST(MultiHierarchy, PcsWritebackRouting) {
   EXPECT_EQ(h.mem_writes(), 1u);
 }
 
+TEST(MultiHierarchy, BypassStoreCountsL2DirtyEviction) {
+  MultiHierarchy h(tiny_mc(1));
+  // Poison every way of the L1D set for 0x0000 so the store bypasses L1.
+  const u64 l1set = h.l1d(0).set_of(0x0000);
+  h.l1d(0).set_block_faulty(l1set, 0, true);
+  h.l1d(0).set_block_faulty(l1set, 1, true);
+  // Fill the L2 set of 0x0000 with dirty blocks so the fill the bypass
+  // store triggers must evict one. L2: 64 KB / 4-way -> 256 sets, set
+  // stride 256*64 = 0x4000.
+  for (u64 i = 1; i <= 4; ++i) h.l2().receive_writeback(i * 0x4000);
+  const u64 w0 = h.mem_writes();
+  h.access(0, {0x0000, true, false});  // bypass store
+  // The L2 fill evicted one dirty victim; its data must reach DRAM.
+  EXPECT_EQ(h.mem_writes(), w0 + 1);
+  EXPECT_GE(h.l2().stats().writes, 1u);  // store captured by L2
+}
+
+TEST(MultiHierarchy, BypassStoreThroughAllFaultyL2ReachesMemory) {
+  MultiHierarchy h(tiny_mc(1));
+  // Every way faulty in both the L1D and L2 sets of 0x0000: the dirty data
+  // is uncacheable anywhere and must be counted as a DRAM write.
+  const u64 l1set = h.l1d(0).set_of(0x0000);
+  h.l1d(0).set_block_faulty(l1set, 0, true);
+  h.l1d(0).set_block_faulty(l1set, 1, true);
+  const u64 l2set = h.l2().set_of(0x0000);
+  for (u32 w = 0; w < 4; ++w) h.l2().set_block_faulty(l2set, w, true);
+  const u64 w0 = h.mem_writes();
+  h.access(0, {0x0000, true, false});
+  EXPECT_EQ(h.mem_writes(), w0 + 1);
+}
+
 TEST(MultiCpu, ClockSemantics) {
   MultiCpu cpu(3);
   cpu.advance(0, 100);

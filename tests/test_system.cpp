@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "fault/yield_model.hpp"
 #include "workload/spec_profiles.hpp"
 
@@ -207,6 +209,24 @@ TEST(System, DramTrafficReported) {
   const auto r = run_one(cfg, PolicyKind::kBaseline, "mcf");
   EXPECT_GT(r.mem_reads, 1000u);   // mcf is DRAM-bound
   EXPECT_GT(r.mem_writes, 100u);   // dirty evictions flow out
+}
+
+TEST(System, PerLevelCyclesSumToMeasuredCyclesAtTwelveLevels) {
+  // Ladders hold up to 255 levels. A fixed 9-entry residency array once
+  // dropped every cycle spent above level 8, so at 12 levels the L2's
+  // per-level cycles summed to 0.
+  SystemConfig cfg = SystemConfig::config_a();
+  cfg.num_vdd_levels = 12;
+  auto trace = make_spec_trace("hmmer", 42);
+  PcsSystem sys(cfg, PolicyKind::kDynamic, 1);
+  const SimReport r = sys.run(*trace, quick());
+  for (PcsController* ctl : {&sys.l1i_controller(), &sys.l1d_controller(),
+                             &sys.l2_controller()}) {
+    const auto& at = ctl->pcs_stats().cycles_at_level;
+    EXPECT_EQ(at.size(), 13u) << ctl->cache().name();
+    EXPECT_EQ(std::accumulate(at.begin(), at.end(), Cycle{0}), r.cycles)
+        << ctl->cache().name();
+  }
 }
 
 TEST(System, LadderAccessorValidatesName) {

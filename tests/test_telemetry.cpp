@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -130,6 +131,26 @@ TEST(JsonlTraceSink, WriteToFullDeviceThrows) {
   rec.field("name", std::string(100, 'x'));
   EXPECT_THROW(
       for (int i = 0; i < 10'000; ++i) sink.emit(rec), std::runtime_error);
+}
+
+TEST(TraceHeader, MakeTraceSinkWritesItFirstInBothBackends) {
+  const std::string jsonl = testing::TempDir() + "pcs_made_sink.jsonl";
+  const std::string csv = testing::TempDir() + "pcs_made_sink.csv";
+  for (const std::string& path : {jsonl, csv}) {
+    const std::unique_ptr<TraceSink> sink = make_trace_sink(path);
+    sink->emit(TraceRecord("example").field("x", u64{1}));
+    sink->finish();
+  }
+  std::ifstream j(jsonl);
+  std::string line;
+  std::getline(j, line);
+  EXPECT_EQ(line, R"({"type":"trace_header","schema_version":1,)"
+                  R"("producer":"pcs-cache"})");
+  std::ifstream c(testing::TempDir() + "pcs_made_sink.trace_header.csv");
+  std::getline(c, line);
+  EXPECT_EQ(line, "schema_version,producer");
+  std::getline(c, line);
+  EXPECT_EQ(line, "1,pcs-cache");
 }
 
 TEST(TraceHeader, CarriesSchemaVersion) {
