@@ -80,6 +80,21 @@ void BM_SyntheticGcc(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticGcc);
 
+/// The same stream pulled as the sweep engine pulls it: 256-event
+/// next_block calls (one virtual call per block). Items = events.
+void BM_SyntheticGccBlock(benchmark::State& state) {
+  auto trace = make_spec_trace("gcc", 7);
+  std::vector<TraceEvent> block(256);
+  for (auto _ : state) {
+    trace->next_block(block.data(), block.size());
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<i64>(block.size()));
+}
+BENCHMARK(BM_SyntheticGccBlock);
+
 void BM_FaultFieldSampling(benchmark::State& state) {
   const BerModel ber(Technology::soi45());
   const u64 blocks = static_cast<u64>(state.range(0));

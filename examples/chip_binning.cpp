@@ -13,7 +13,8 @@
 // message. --checkpoint enables the shard-range sidecar; --resume skips
 // the completed shard prefix of an earlier run; --checkpoint-stop-after N is
 // the test hook that kills the process (exit 3) after the Nth sidecar
-// write, leaving a genuinely torn run behind for a resume to finish.
+// write, leaving a genuinely torn run behind for a resume to finish; it
+// exits 2 without --checkpoint, which it would never fire without.
 //
 // Every run, the hook's included, goes through run_population_job: the run
 // path of a `population` job submitted to `pcs_sim --serve`, so the report
@@ -87,6 +88,12 @@ int main(int argc, char** argv) {
     }
   }
   if (pos < 1) job.spec.num_chips = 500;
+  if (stop_after > 0 && job.ckpt.path.empty()) {
+    // No sidecar is written without a path, so the hook would never fire.
+    std::fprintf(stderr,
+                 "chip_binning: --checkpoint-stop-after needs --checkpoint\n");
+    return 2;
+  }
   if (stop_after > 0) {
     job.ckpt.on_checkpoint = [stop_after, saves = u64{0}](u64) mutable {
       if (++saves >= stop_after) std::_Exit(3);

@@ -130,6 +130,12 @@ int main(int argc, char** argv) {
       }
     }
 
+    if (stop_after > 0 && job.ckpt.path.empty()) {
+      // No sidecar is written without a path, so the hook would never fire.
+      std::fprintf(stderr, "population_grid: --checkpoint-stop-after needs "
+                           "--checkpoint\n");
+      return 2;
+    }
     if (stop_after > 0) {
       // Test hook: tear the process down after the Nth sidecar write (exit
       // 3) so the CI smoke can resume a genuinely torn run.

@@ -396,6 +396,13 @@ Job parse_job_line(const std::string& line) {
     }
     p.spec.org.size_bytes = size_kb * 1024;
     p.spec.org.assoc = to_assoc(jnum(o, "assoc", p.spec.org.assoc), "assoc");
+    try {
+      p.spec.org.validate();
+    } catch (const std::invalid_argument& e) {
+      bad_job("job keys 'size_kb' " + std::to_string(size_kb) +
+              " and 'assoc' " + std::to_string(p.spec.org.assoc) + ": " +
+              e.what());
+    }
     p.sigma = jreal(o, "sigma", p.sigma);
     if (!std::isfinite(p.sigma) || p.sigma < 0.0) {
       bad_job("job key 'sigma': must be finite and positive (or 0 for the "

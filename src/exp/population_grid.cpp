@@ -43,7 +43,14 @@ void PopulationGridSpec::validate() const {
           " KB overflows a 64-bit byte count");
     }
     for (const u32 assoc : assocs) {
-      org_for(size_kb, assoc).validate();
+      try {
+        org_for(size_kb, assoc).validate();
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(
+            "population grid sizes_kb item " + std::to_string(size_kb) +
+            " KB with assocs item " + std::to_string(assoc) + ": " +
+            e.what());
+      }
     }
   }
 }

@@ -44,10 +44,6 @@ i64 draw_index_of(double z, double bits) {
   return static_cast<i64>(k);
 }
 
-constexpr u16 kMixed = 0x8000;  // lut_ flag: resolve the bin draw by draw
-constexpr u32 kLutShift = 53 - RungCuts::kLutBits;
-constexpr i64 kSentinel = i64{1} << 62;
-
 /// Each rung's cut: the first draw index whose chain value reaches the
 /// rung, kDraws if none does. Bisects with the invariant "lo misses the
 /// rung, hi reaches it" and the virtual ends -1 (misses) and kDraws
@@ -122,14 +118,10 @@ std::vector<i64> bisect_cuts(std::span<const Volt> grid, double mu,
   return hi;
 }
 
-}  // namespace
-
-RungCuts::RungCuts(std::span<const Volt> grid, double mu, double sigma,
-                   u32 bits_per_block)
-    : grid_(grid.begin(), grid.end()),
-      mu_(mu),
-      sigma_(sigma),
-      bits_(static_cast<double>(bits_per_block)) {
+/// bisect_cuts for a ladder the cuts can use; throws naming what they
+/// cannot.
+std::vector<i64> checked_cuts(std::span<const Volt> grid, double mu,
+                              double sigma, double bits) {
   if (!std::isfinite(mu)) {
     throw std::invalid_argument("population mu must be finite");
   }
@@ -144,35 +136,20 @@ RungCuts::RungCuts(std::span<const Volt> grid, double mu, double sigma,
     throw std::invalid_argument(
         "RungCuts: ladder longer than kMaxPopulationLevels");
   }
-  const std::vector<i64> found = bisect_cuts(grid_, mu_, sigma_, bits_);
-  padded_cuts_.reserve(found.size() + 2);
-  padded_cuts_.push_back(-kSentinel);
-  padded_cuts_.insert(padded_cuts_.end(), found.begin(), found.end());
-  padded_cuts_.push_back(kSentinel);
-  const std::span<const i64> cut = cuts();
-
-  // Lookup: a bin's first draw's bucket, flagged when any cut's guard band
-  // (clipped to the draw range) reaches into the bin.
-  lut_.assign(std::size_t{1} << kLutBits, 0);
-  std::size_t below = 0;
-  for (std::size_t b = 0; b < lut_.size(); ++b) {
-    const i64 first = static_cast<i64>(b) << kLutShift;
-    while (below < cut.size() && cut[below] <= first) ++below;
-    lut_[b] = static_cast<u16>(below);
-  }
-  const i64 guard = static_cast<i64>(kGuardDraws);
-  const i64 last_draw = static_cast<i64>(kDraws) - 1;
-  for (const i64 c : cut) {
-    const i64 first = std::max<i64>(c - guard, 0) >> kLutShift;
-    const i64 last = std::min<i64>(c + guard - 1, last_draw) >> kLutShift;
-    for (i64 b = first; b <= last; ++b) {
-      lut_[static_cast<std::size_t>(b)] |= kMixed;
-    }
-  }
-
-  set_seed_ = bucket_of(2.0f);
-  max_seed_ = bucket_of(0.0f);
+  return bisect_cuts(grid, mu, sigma, bits);
 }
+
+}  // namespace
+
+RungCuts::RungCuts(std::span<const Volt> grid, double mu, double sigma,
+                   u32 bits_per_block)
+    : grid_(grid.begin(), grid.end()),
+      mu_(mu),
+      sigma_(sigma),
+      bits_(static_cast<double>(bits_per_block)),
+      cuts_(checked_cuts(grid_, mu_, sigma_, bits_)),
+      set_seed_(bucket_of(2.0f)),
+      max_seed_(bucket_of(0.0f)) {}
 
 u16 RungCuts::bucket_of(float vf) const {
   return static_cast<u16>(std::upper_bound(grid_.begin(), grid_.end(),
@@ -180,19 +157,7 @@ u16 RungCuts::bucket_of(float vf) const {
                           grid_.begin());
 }
 
-u16 RungCuts::exact_bucket(u64 draw, u16 start) const {
-  const i64 k = static_cast<i64>(draw);
-  const i64* cut = padded_cuts_.data() + 1;
-  std::ptrdiff_t b = start;
-  while (cut[b] <= k) ++b;
-  // Passing this test needs cut[b-1] <= k - guard and cut[b] > k + guard,
-  // which makes b the number of cuts <= k whatever the walk did; a draw
-  // failing it is inside a guard band (or was walked wrong).
-  const i64 guard = static_cast<i64>(kGuardDraws);
-  if (k - cut[b - 1] >= guard && cut[b] - k > guard) {
-    return static_cast<u16>(b);
-  }
-  // Inside a guard band: run the chain on this one draw.
+u16 RungCuts::exact_bucket(u64 draw) const {
   const double u = static_cast<double>(draw) * 0x1p-53;
   float vf = 0.0f;
   vecmath::sample_vf_block(&u, 1, bits_, mu_, sigma_, &vf);
@@ -201,12 +166,10 @@ u16 RungCuts::exact_bucket(u64 draw, u16 start) const {
 
 void RungCuts::bucket_draws(std::span<const u64> draws,
                             std::span<u16> out) const {
-  const u16* lut = lut_.data();
   for (std::size_t i = 0; i < draws.size(); ++i) {
-    const u16 e = lut[draws[i] >> kLutShift];
-    out[i] = (e & kMixed) == 0
-                 ? e
-                 : exact_bucket(draws[i], static_cast<u16>(e & ~kMixed));
+    const u32 b = cuts_.count(draws[i]);
+    out[i] = b != DrawCuts::kExact ? static_cast<u16>(b)
+                                   : exact_bucket(draws[i]);
   }
 }
 

@@ -7,13 +7,14 @@
 // fails at), the population engines' rung histogram and viability floor,
 // Fig. 3d's pass counts at its probe voltages. Since vf rises with K, that
 // answer is a step function of K, and RungCuts finds the steps once per
-// (ladder, mu, sigma, bits) so each block costs a table lookup instead of
-// a run of the chain. DESIGN.md §13 has the exactness argument.
+// (ladder, mu, sigma, bits) so each block costs a table lookup (DrawCuts)
+// instead of a run of the chain. DESIGN.md §13 has the exactness argument.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "util/draw_cuts.hpp"
 #include "util/types.hpp"
 
 namespace pcs {
@@ -33,21 +34,19 @@ inline constexpr u32 kMaxPopulationLevels = 1024;
 /// rungs at or below its fail voltage -- therefore steps up once per rung,
 /// at that rung's cut: the first K whose vf reaches the rung. The
 /// constructor finds every cut by bisecting the exact chain; a block's
-/// bucket is then the number of cuts <= K, read from a lookup on K's top
-/// kLutBits bits. Rounding makes the chain non-monotone within a few draws
-/// of a cut, so a draw within kGuardDraws of any cut is bucketed by the
-/// exact chain instead.
+/// bucket is then the number of cuts <= K, which a DrawCuts table reads
+/// (util/draw_cuts.hpp). Rounding makes the chain non-monotone within a
+/// few draws of a cut, so a draw the table refers back -- one within
+/// kGuardDraws of any cut -- is bucketed by the exact chain instead.
 ///
 /// Read-only after construction, so one table serves every shard thread.
 class RungCuts {
  public:
   /// Draw indices run over [0, kDraws).
-  static constexpr u64 kDraws = u64{1} << 53;
-  /// Width of the bucket lookup's index: K's top bits.
-  static constexpr u32 kLutBits = 12;
+  static constexpr u64 kDraws = DrawCuts::kDraws;
   /// Draws within this distance of a cut take the exact chain: the guard
   /// band of cut c is [c - kGuardDraws, c + kGuardDraws).
-  static constexpr u64 kGuardDraws = u64{1} << 30;
+  static constexpr u64 kGuardDraws = DrawCuts::kGuardDraws;
 
   /// Throws std::invalid_argument unless mu is finite and sigma is finite
   /// and > 0 (the cuts need vf to rise with the draw) and `grid` is a
@@ -59,9 +58,7 @@ class RungCuts {
 
   /// cuts()[k]: the first draw index whose block the chain puts at or above
   /// rung k (0-based), or kDraws if none. Non-decreasing in k.
-  std::span<const i64> cuts() const noexcept {
-    return {padded_cuts_.data() + 1, grid_.size()};
-  }
+  std::span<const i64> cuts() const noexcept { return cuts_.cuts(); }
 
   /// out[i] = the bucket of a block drawn as draws[i] (each < kDraws): the
   /// number of rungs at or below its fail voltage, as count_fail_rungs
@@ -77,20 +74,14 @@ class RungCuts {
  private:
   /// upper_bound(grid, vf): the bucket the chain composition gives.
   u16 bucket_of(float vf) const;
-  /// The bucket of a draw in a flagged lookup bin, whose first draw's
-  /// bucket is `start`: walks the cuts, then runs the chain if the draw is
-  /// inside a guard band.
-  u16 exact_bucket(u64 draw, u16 start) const;
+  /// The bucket of a draw the table refers back: runs the chain on it.
+  u16 exact_bucket(u64 draw) const;
 
   std::vector<Volt> grid_;
   double mu_;
   double sigma_;
   double bits_;
-  /// -2^62, the cuts, 2^62: the sentinels end the walk and the guard test.
-  std::vector<i64> padded_cuts_;
-  /// Per top-bits bin: the bucket of its first draw, ORed with kMixed when
-  /// a cut's guard band reaches into the bin.
-  std::vector<u16> lut_;
+  DrawCuts cuts_;
   u16 set_seed_ = 0;  ///< bucket of 2.0f
   u16 max_seed_ = 0;  ///< bucket of +0.0f
 };

@@ -3,30 +3,97 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace pcs {
 
-SyntheticTrace::SyntheticTrace(WorkloadSpec spec, u64 seed)
-    : spec_(std::move(spec)), rng_(seed) {
-  if (spec_.phases.empty()) {
+namespace {
+
+/// The 4096 clamp of the gap: a gap never spans more instructions.
+constexpr double kMaxGap = 4096.0;
+
+/// Each gap's cut, for the gaps top - 1 down to 0: the first draw past 0
+/// whose gap is at most that gap, DrawCuts::kDraws if none. Bisects
+/// `exact` with the invariant "lo is above the gap, hi at or below it" and
+/// the virtual ends 0 (above: draw 0 is left out, as its clamped u breaks
+/// the order) and kDraws (at or below). The gap is at most t exactly when
+/// u > exp((t + 1) * log_denom), so each search starts from a bracket of
+/// +-2^3 draws around 2^53 times that (which lands within 2 draws of every
+/// cut of the 16 profiles), checked at both ends; a gap whose check fails
+/// searches the full range instead. Forced non-decreasing.
+template <class Exact>
+std::vector<i64> bisect_gap_cuts(u32 top, double log_denom,
+                                 const Exact& exact) {
+  const i64 draws = static_cast<i64>(DrawCuts::kDraws);
+  constexpr i64 kBracket = i64{1} << 3;
+  std::vector<i64> cuts(top);
+  for (u32 i = 0; i < top; ++i) {
+    const u32 t = top - 1 - i;
+    const auto at_or_below = [&](i64 k) {
+      return exact(static_cast<u64>(k)) <= t;
+    };
+    const double seed =
+        static_cast<double>(DrawCuts::kDraws) *
+        std::exp(static_cast<double>(t + 1) * log_denom);
+    const i64 k0 = static_cast<i64>(seed);
+    i64 lo = std::max<i64>(k0 - kBracket, 0);
+    i64 hi = std::min<i64>(k0 + kBracket, draws);
+    if ((lo > 0 && at_or_below(lo)) || (hi < draws && !at_or_below(hi))) {
+      lo = 0;
+      hi = draws;
+    }
+    while (hi - lo > 1) {
+      const i64 mid = lo + (hi - lo) / 2;
+      (at_or_below(mid) ? hi : lo) = mid;
+    }
+    cuts[i] = i == 0 ? hi : std::max(hi, cuts[i - 1]);
+  }
+  return cuts;
+}
+
+double mean_gap(double refs_per_instruction) {
+  return 1.0 / refs_per_instruction - 1.0;
+}
+
+/// Throws unless `spec` can drive a trace.
+WorkloadSpec validated(WorkloadSpec spec) {
+  if (spec.phases.empty()) {
     throw std::invalid_argument("workload needs >= 1 phase");
   }
-  if (spec_.refs_per_instruction <= 0.0 || spec_.refs_per_instruction > 1.0) {
+  if (spec.refs_per_instruction <= 0.0 || spec.refs_per_instruction > 1.0) {
     throw std::invalid_argument("refs_per_instruction must be in (0, 1]");
   }
+  return spec;
+}
+
+}  // namespace
+
+GapTable::GapTable(double refs_per_instruction)
+    // Geometric gap with mean (1/refs_per_instruction - 1) non-memory
+    // instructions between data references; exact() is the expression the
+    // generator has always drawn gaps with, so the gap sequence (and thus
+    // every golden trace) is unchanged.
+    : log_denom_(std::log1p(-1.0 / (mean_gap(refs_per_instruction) + 1.0))),
+      drawn_(mean_gap(refs_per_instruction) > 0.0),
+      top_(exact(1)),
+      cuts_(bisect_gap_cuts(top_, log_denom_,
+                            [this](u64 k) { return exact(k); })) {}
+
+u32 GapTable::exact(u64 draw) const noexcept {
+  double u = static_cast<double>(draw) * 0x1.0p-53;
+  if (u <= 0.0) u = 1e-12;
+  const double g = std::floor(std::log(u) / log_denom_);
+  return static_cast<u32>(std::min(g, kMaxGap));
+}
+
+SyntheticTrace::SyntheticTrace(WorkloadSpec spec, u64 seed)
+    : spec_(validated(std::move(spec))),
+      rng_(seed),
+      gap_(spec_.refs_per_instruction) {
   code_span_ = std::max<u64>(spec_.code_footprint_bytes, 64);
   step_ = spec_.instr_bytes % code_span_;
   shared_span_ = std::max<u64>(spec_.shared_bytes, 64);
-  // Geometric gap with mean (1/refs_per_instruction - 1) non-memory
-  // instructions between data references; the exact expression below must
-  // match what draw_gap historically computed per call, so that the gap
-  // sequence (and thus every golden trace) is unchanged.
-  const double mean = 1.0 / spec_.refs_per_instruction - 1.0;
-  gap_enabled_ = mean > 0.0;
-  if (gap_enabled_) {
-    const double p = 1.0 / (mean + 1.0);
-    gap_log_denom_ = std::log1p(-p);
-  }
   enter_phase();
 }
 
@@ -35,6 +102,7 @@ void SyntheticTrace::enter_phase() noexcept {
   ws_span_ = std::max<u64>(p.working_set_bytes, 64);
   hot_span_ = std::max<u64>(
       static_cast<u64>(p.hot_frac * static_cast<double>(ws_span_)), 64);
+  stream_step_ = p.stream_stride % ws_span_;
 }
 
 void SyntheticTrace::advance_phase_if_needed() {
@@ -65,8 +133,11 @@ u64 SyntheticTrace::gen_data_addr() {
 
   u64 offset;
   if (rng_.bernoulli(p.stream_frac)) {
+    // stream_pos_ and stream_step_ both stay below the working set, so one
+    // subtraction wraps the sweep as `(stream_pos_ + stride) % ws` would.
     offset = stream_pos_;
-    stream_pos_ = (stream_pos_ + p.stream_stride) % ws;
+    stream_pos_ += stream_step_;
+    if (stream_pos_ >= ws) stream_pos_ -= ws;
   } else if (rng_.bernoulli(p.hot_prob)) {
     offset = rng_.uniform_int(hot_span_);
   } else {
@@ -83,15 +154,7 @@ u64 SyntheticTrace::gen_data_addr() {
   return addr;
 }
 
-u32 SyntheticTrace::draw_gap() {
-  if (!gap_enabled_) return 0;
-  double u = rng_.uniform();
-  if (u <= 0.0) u = 1e-12;
-  const double g = std::floor(std::log(u) / gap_log_denom_);
-  return static_cast<u32>(std::min(g, 4096.0));
-}
-
-bool SyntheticTrace::next(TraceEvent& out) {
+inline bool SyntheticTrace::next_event(TraceEvent& out) {
   if (exhausted_) return false;
 
   if (!have_pending_) {
@@ -107,7 +170,8 @@ bool SyntheticTrace::next(TraceEvent& out) {
       pending_data_.write = rng_.bernoulli(phase().write_frac);
     }
     pending_data_.ifetch = false;
-    remaining_gap_ = draw_gap();
+    // The gap's draw index is the K that Rng::uniform would scale.
+    remaining_gap_ = gap_.drawn() ? gap_.gap(rng_.next_u64() >> 11) : 0;
     gap_accum_ = 0;
     have_pending_ = true;
     ++refs_in_phase_;
@@ -115,8 +179,12 @@ bool SyntheticTrace::next(TraceEvent& out) {
 
   // Advance the PC through the gap instructions; emit an ifetch whenever a
   // new instruction block is entered. The PC and step_ both stay below the
-  // code span, so one subtraction wraps the PC exactly as `% code` would.
+  // code span, so one subtraction wraps the PC exactly as `% code` would,
+  // and the PC leaves its fetch block exactly when pc_ - block_lo_ reaches
+  // the block size (from below, the difference wraps past it), so only a
+  // new block pays the division.
   const u64 code = code_span_;
+  const u64 block_bytes = spec_.block_bytes;
   while (remaining_gap_ > 0) {
     if (rng_.bernoulli(spec_.far_jump_prob)) {
       pc_ = rng_.uniform_int(code) & ~static_cast<u64>(spec_.instr_bytes - 1);
@@ -126,10 +194,9 @@ bool SyntheticTrace::next(TraceEvent& out) {
     }
     --remaining_gap_;
     ++gap_accum_;
-    const u64 new_block = pc_ / spec_.block_bytes;
-    if (new_block != pc_block_) {
-      pc_block_ = new_block;
-      u64 fetch_block = spec_.code_base_addr + new_block * spec_.block_bytes;
+    if (pc_ - block_lo_ >= block_bytes) {
+      block_lo_ = pc_ / block_bytes * block_bytes;
+      u64 fetch_block = spec_.code_base_addr + block_lo_;
       // Inner loops: most block-level fetches re-execute recent code.
       if (!recent_code_blocks_.empty() &&
           rng_.bernoulli(spec_.code_reuse_prob)) {
@@ -154,6 +221,14 @@ bool SyntheticTrace::next(TraceEvent& out) {
   out.gap_instructions = gap_accum_;
   have_pending_ = false;
   return true;
+}
+
+bool SyntheticTrace::next(TraceEvent& out) { return next_event(out); }
+
+u64 SyntheticTrace::next_block(TraceEvent* out, u64 max_events) {
+  u64 n = 0;
+  while (n < max_events && next_event(out[n])) ++n;
+  return n;
 }
 
 }  // namespace pcs

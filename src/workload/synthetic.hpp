@@ -13,10 +13,12 @@
 // reference whenever it crosses a block boundary.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cache/trace_source.hpp"
+#include "util/draw_cuts.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -63,12 +65,59 @@ struct WorkloadSpec {
   u32 block_bytes = 64;             ///< ifetch granularity
 };
 
+/// The geometric gap SyntheticTrace draws before each data reference: the
+/// number of non-memory instructions, with mean 1/refs_per_instruction - 1.
+/// Of the draw index K = next_u64() >> 11 that Rng::uniform scales to
+/// u = K * 2^-53, the gap is
+///
+///   exact(K) = min(floor(log(u) / log1p(-p)), 4096),  p = 1 / (mean + 1),
+///
+/// with u clamped to 1e-12 at K = 0. Past K = 0 it falls as K rises, so
+/// it is top() minus the number of cuts <= K, where the cut of gap t is the
+/// first K whose gap is at most t. The constructor bisects exact() for
+/// every cut, and gap() reads that count from a DrawCuts table; a draw the
+/// table refers back (K = 0, or within DrawCuts::kGuardDraws of a cut)
+/// takes exact(). DESIGN.md §13 has the exactness argument.
+class GapTable {
+ public:
+  /// Requires refs_per_instruction in (0, 1].
+  explicit GapTable(double refs_per_instruction);
+
+  /// False when the mean gap is 0 (refs_per_instruction 1): the trace then
+  /// draws no gap at all.
+  bool drawn() const noexcept { return drawn_; }
+
+  /// The gap of draw index `draw` (< DrawCuts::kDraws): exact(draw).
+  u32 gap(u64 draw) const noexcept {
+    const u32 n = cuts_.count(draw);
+    return n != DrawCuts::kExact ? top_ - n : exact(draw);
+  }
+
+  /// The expression gap() reproduces, evaluated directly.
+  u32 exact(u64 draw) const noexcept;
+
+  /// exact(1): the largest gap of any draw past 0.
+  u32 top() const noexcept { return top_; }
+
+  /// cuts()[i]: the first draw past 0 whose gap is at most top() - 1 - i,
+  /// or DrawCuts::kDraws if none. Non-decreasing in i.
+  std::span<const i64> cuts() const noexcept { return cuts_.cuts(); }
+
+ private:
+  double log_denom_;  ///< log1p(-p)
+  bool drawn_;
+  u32 top_;
+  DrawCuts cuts_;
+};
+
 /// TraceSource implementation over a WorkloadSpec.
 class SyntheticTrace final : public TraceSource {
  public:
   SyntheticTrace(WorkloadSpec spec, u64 seed);
 
   bool next(TraceEvent& out) override;
+  /// The events next() would give, generated in one loop.
+  u64 next_block(TraceEvent* out, u64 max_events) override;
   const char* name() const override { return spec_.name.c_str(); }
 
   const WorkloadSpec& spec() const noexcept { return spec_; }
@@ -77,10 +126,10 @@ class SyntheticTrace final : public TraceSource {
 
  private:
   const PhaseSpec& phase() const noexcept { return spec_.phases[phase_idx_]; }
+  bool next_event(TraceEvent& out);
   void advance_phase_if_needed();
   void enter_phase() noexcept;
   u64 gen_data_addr();
-  u32 draw_gap();
 
   WorkloadSpec spec_;
   Rng rng_;
@@ -91,19 +140,19 @@ class SyntheticTrace final : public TraceSource {
   // Derived constants hoisted off the per-reference path. The RNG draw
   // sequence is part of the determinism contract (golden figure regressions
   // replay it bit-for-bit), so these cache *computations*, never draws:
-  // per-phase clamps/products (refreshed by enter_phase) and the geometric
-  // gap's log term, which depends only on refs_per_instruction.
+  // per-phase clamps/products (refreshed by enter_phase) and the gap table,
+  // which depends only on refs_per_instruction.
   u64 ws_span_ = 64;        ///< max(working_set_bytes, 64) of current phase
   u64 hot_span_ = 64;       ///< max(hot_frac * ws_span_, 64) of current phase
+  u64 stream_step_ = 0;     ///< stream_stride % ws_span_ of current phase
   u64 code_span_ = 64;      ///< max(code_footprint_bytes, 64)
   u64 step_ = 0;            ///< instr_bytes % code_span_, the PC's wrapped step
   u64 shared_span_ = 64;    ///< max(shared_bytes, 64)
-  bool gap_enabled_ = false;
-  double gap_log_denom_ = 0.0;  ///< log1p(-p) of the geometric gap
+  GapTable gap_;
 
   u64 stream_pos_ = 0;  ///< byte offset of the sequential sweep within the WS
   u64 pc_ = 0;          ///< byte offset of the program counter in the code loop
-  u64 pc_block_ = 0;    ///< pc_ / block_bytes, carried between steps
+  u64 block_lo_ = 0;    ///< first byte of pc_'s fetch block, carried along
 
   static constexpr std::size_t kReuseWindow = 64;
   std::vector<u64> recent_blocks_;  ///< circular MRU data-block buffer

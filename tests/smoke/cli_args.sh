@@ -63,7 +63,7 @@ done
 expect_exit 0 "$examples/pcs_sim" --policy dpcs --refs 1000 --levels 255
 for args in 'abc 64 4' '100 64 4x' '100 -1' '100 64 4294967296' \
     '100 18014398509481984' '100 --checkpoint-shards x' \
-    '100 --checkpoint-stop-after 1e3'; do
+    '100 --checkpoint-stop-after 1e3' '100 --checkpoint-stop-after 1'; do
   # shellcheck disable=SC2086  # split args on purpose
   expect_exit 2 "$examples/chip_binning" $args
 done
@@ -72,7 +72,8 @@ for args in abc \
     '300 --sizes 32 --assocs 4294967300 --sigmas 0.1585' \
     '300 --sizes 32,' '300 --sizes 32,,64' '300 --assocs 4x' \
     '300 --sigmas 0.1585,' \
-    '300 --checkpoint-shards -1' '300 --checkpoint-stop-after 2x'; do
+    '300 --checkpoint-shards -1' '300 --checkpoint-stop-after 2x' \
+    '300 --checkpoint-stop-after 1'; do
   # shellcheck disable=SC2086  # split args on purpose
   expect_exit 2 "$examples/population_grid" $args
 done

@@ -1,7 +1,8 @@
 // Exactness of binning dies straight from their uniform draws (RungCuts,
 // bin_chip at one size and one assoc) against the chain composition it
 // replaced: sample_vf_block -> chip_fail_voltage -> count_fail_rungs ->
-// bin_from_fail_summary.
+// bin_from_fail_summary; and of the two draw-cut lookups' shared table
+// (DrawCuts) and the synthetic trace's gap table (GapTable).
 //
 //   * Per draw, on 8 ladders x 4 bits-per-block sizes x 4 (mu, sigma):
 //     every draw within +-2^12 of each cut, the draws at and just past
@@ -18,12 +19,23 @@
 //     dies whose every draw sits inside a guard band, and dies at the
 //     0 V and 2.0 V clamps of the viability fold; and a PopulationEngine
 //     run against the oracle's accumulated result.
+//   * DrawCuts: on hand-made cut lists (none, at 0 and 2^53, duplicates,
+//     on and beside bin edges, hundreds in one bin, random), the count or
+//     the referral every draw must get, at both ends of the range, every
+//     bin edge, every guard band's edges and random draws.
+//   * GapTable, for the 16 profiles' refs_per_instruction and 1.0, 0.999,
+//     1e-3 and 1e-6: the gap against the expression SyntheticTrace always
+//     drew it with, at K = 0, 1 and 2^53 - 1, every bin edge, every draw
+//     within +-1024 of a cut and 2^20 random draws; and each cut is the
+//     step of that expression.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <ostream>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,8 +44,11 @@
 #include "exp/sweep_engine.hpp"
 #include "fault/ber_model.hpp"
 #include "tech/technology.hpp"
+#include "util/draw_cuts.hpp"
 #include "util/rng.hpp"
 #include "util/vecmath.hpp"
+#include "workload/spec_profiles.hpp"
+#include "workload/synthetic.hpp"
 
 namespace pcs {
 namespace {
@@ -466,6 +481,180 @@ TEST(DrawBinning, EngineEqualsAccumulatedChainComposition) {
   }
   EXPECT_EQ(PopulationEngine(ber, 3).run(spec), want);
 }
+
+// ---- The shared lookup (DrawCuts) --------------------------------------------
+
+constexpr i64 kBin = i64{1} << (53 - DrawCuts::kLutBits);  // draws per bin
+
+/// What DrawCuts::count must answer: kExact at K = 0 and within the guard
+/// band of a cut, else the number of cuts <= k.
+u32 expected_count(std::span<const i64> cuts, i64 k) {
+  if (k == 0) return DrawCuts::kExact;
+  u32 n = 0;
+  for (const i64 c : cuts) {
+    if (k >= c - kGuard && k < c + kGuard) return DrawCuts::kExact;
+    if (c <= k) ++n;
+  }
+  return n;
+}
+
+TEST(DrawCuts, CountsTheCutsBelowADrawAndRefersTheRestBack) {
+  std::vector<i64> dense;  // 600 cuts 3 guard bands apart in bin 100
+  for (i64 j = 0; j < 600; ++j) dense.push_back(100 * kBin + j * 3 * kGuard);
+  std::vector<i64> scattered(200);
+  Rng rng(29);
+  for (i64& c : scattered) c = static_cast<i64>(rng.uniform_int(kDraws + 1));
+  std::sort(scattered.begin(), scattered.end());
+  const std::vector<std::vector<i64>> lists = {
+      {},
+      {0},
+      {kDraws},
+      {0, 0, kDraws, kDraws},
+      {5 * kBin},
+      {5 * kBin - 1, 5 * kBin + kGuard, 7 * kBin + 3 * kGuard},
+      {10 * kBin + 17, 10 * kBin + 17, 10 * kBin + 17},
+      {kGuard - 1, kGuard, 2 * kGuard + 1, kDraws - kGuard, kDraws - 1},
+      dense,
+      scattered,
+  };
+  for (std::size_t l = 0; l < lists.size(); ++l) {
+    const std::vector<i64>& cuts = lists[l];
+    const DrawCuts table(cuts);
+    ASSERT_TRUE(std::equal(table.cuts().begin(), table.cuts().end(),
+                           cuts.begin(), cuts.end()));
+    std::vector<i64> probes = {0, 1, 2, kDraws - 2, kDraws - 1};
+    for (i64 b = 1; b < (i64{1} << DrawCuts::kLutBits); ++b) {
+      probes.insert(probes.end(), {b * kBin - 1, b * kBin, b * kBin + 1});
+    }
+    for (const i64 c : cuts) {
+      for (const i64 d : {i64{0}, kGuard}) {
+        probes.insert(probes.end(), {c - d - 1, c - d, c - d + 1, c + d - 1,
+                                     c + d, c + d + 1});
+      }
+    }
+    for (int i = 0; i < (1 << 14); ++i) {
+      probes.push_back(static_cast<i64>(rng.next_u64() >> 11));
+    }
+    for (const i64 k : probes) {
+      if (k < 0 || k >= kDraws) continue;
+      const u32 want = expected_count(cuts, k);
+      const u32 got = table.count(static_cast<u64>(k));
+      if (got != want) {
+        ADD_FAILURE() << "cut list " << l << ", draw " << k << ": count "
+                      << got << ", want " << want;
+        return;
+      }
+    }
+  }
+}
+
+TEST(DrawCuts, RejectsCutListsItCannotHold) {
+  EXPECT_THROW(DrawCuts(std::vector<i64>{5, 4}), std::invalid_argument);
+  EXPECT_THROW(DrawCuts(std::vector<i64>{-1}), std::invalid_argument);
+  EXPECT_THROW(DrawCuts(std::vector<i64>{kDraws + 1}), std::invalid_argument);
+  EXPECT_THROW(DrawCuts(std::vector<i64>(DrawCuts::kMaxCuts + 1, 7)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(DrawCuts(std::vector<i64>(DrawCuts::kMaxCuts, 7)));
+}
+
+// ---- The synthetic trace's gap table (GapTable) -------------------------------
+
+struct GapCase {
+  std::string name;
+  double refs_per_instruction;
+};
+
+void PrintTo(const GapCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<GapCase> gap_cases() {
+  std::vector<GapCase> out;
+  for (const std::string& name : spec_profile_names()) {
+    out.push_back({name, spec_profile(name).refs_per_instruction});
+  }
+  out.push_back({"rpi_1", 1.0});
+  out.push_back({"rpi_0p999", 0.999});
+  out.push_back({"rpi_1em3", 1e-3});
+  out.push_back({"rpi_1em6", 1e-6});
+  return out;
+}
+
+/// The gap SyntheticTrace has always drawn for the draw index k, written
+/// out as it was before the table.
+u32 reference_gap(double refs_per_instruction, u64 k) {
+  const double mean = 1.0 / refs_per_instruction - 1.0;
+  const double p = 1.0 / (mean + 1.0);
+  double u = static_cast<double>(k) * 0x1.0p-53;
+  if (u <= 0.0) u = 1e-12;
+  const double g = std::floor(std::log(u) / std::log1p(-p));
+  return static_cast<u32>(std::min(g, 4096.0));
+}
+
+class GapTableWall : public ::testing::TestWithParam<GapCase> {};
+
+TEST_P(GapTableWall, GapIsTheReferenceGapEverywhereProbed) {
+  const GapCase& c = GetParam();
+  const GapTable table(c.refs_per_instruction);
+  EXPECT_EQ(table.drawn(), c.refs_per_instruction < 1.0) << c.name;
+  const auto same = [&](i64 k) {
+    if (k < 0 || k >= kDraws) return true;
+    const u64 d = static_cast<u64>(k);
+    const u32 want = reference_gap(c.refs_per_instruction, d);
+    if (table.gap(d) == want) return true;
+    ADD_FAILURE() << c.name << ": draw " << k << " gap " << table.gap(d)
+                  << ", want " << want;
+    return false;
+  };
+  for (const i64 k : {i64{0}, i64{1}, kDraws - 1}) {
+    if (!same(k)) return;
+  }
+  for (i64 b = 1; b < (i64{1} << DrawCuts::kLutBits); ++b) {
+    if (!same(b * kBin - 1) || !same(b * kBin)) return;
+  }
+  constexpr i64 kAround = 1024;
+  i64 next = 0;  // first draw not yet scanned
+  for (const i64 cut : table.cuts()) {
+    for (i64 k = std::max(cut - kAround, next); k <= cut + kAround; ++k) {
+      if (!same(k)) return;
+    }
+    next = std::max(next, cut + kAround + 1);
+  }
+  Rng rng(derive_seed(0x9a9, 0, static_cast<u64>(c.refs_per_instruction *
+                                                  1e9)));
+  for (int i = 0; i < (1 << 20); ++i) {
+    if (!same(static_cast<i64>(rng.next_u64() >> 11))) return;
+  }
+}
+
+TEST_P(GapTableWall, CutsAreTheReferenceGapsSteps) {
+  // cuts()[i] is the first draw past 0 whose gap is at most
+  // top - 1 - i: the draw before it has a larger gap. Draw 0 takes no part,
+  // as its clamped u gives it a smaller gap than draw 1.
+  const GapCase& c = GetParam();
+  const GapTable table(c.refs_per_instruction);
+  const u32 top = reference_gap(c.refs_per_instruction, 1);
+  ASSERT_EQ(table.top(), top) << c.name;
+  ASSERT_EQ(table.cuts().size(), top) << c.name;
+  for (u32 i = 0; i < top; ++i) {
+    const u32 t = top - 1 - i;
+    const i64 cut = table.cuts()[i];
+    ASSERT_GE(cut, 2) << c.name << " gap " << t;
+    ASSERT_LE(cut, kDraws) << c.name << " gap " << t;
+    if (cut < kDraws) {
+      EXPECT_LE(reference_gap(c.refs_per_instruction, static_cast<u64>(cut)),
+                t)
+          << c.name << " cut of gap " << t << " at draw " << cut;
+    }
+    EXPECT_GT(
+        reference_gap(c.refs_per_instruction, static_cast<u64>(cut - 1)), t)
+        << c.name << " cut of gap " << t << " at draw " << cut;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProfilesAndEdges, GapTableWall, ::testing::ValuesIn(gap_cases()),
+    [](const ::testing::TestParamInfo<GapCase>& param_info) {
+      return param_info.param.name;
+    });
 
 }  // namespace
 }  // namespace pcs

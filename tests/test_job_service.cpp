@@ -200,7 +200,10 @@ TEST(ParseJobLine, AssocAboveU32IsRejectedNotTruncated) {
   // 4294967300 once ran as a 4-way cache.
   expect_rejected(R"({"kind": "population", "assoc": 4294967300})",
                   "job key 'assoc': associativity out of range");
-  EXPECT_EQ(parse_job_line(R"({"kind": "population", "assoc": 4294967295})")
+  // 4294967295 KB is 16 sets of 4294967295 ways: an organisation that
+  // indexes, so the line is accepted.
+  EXPECT_EQ(parse_job_line(R"({"kind": "population",)"
+                           R"( "size_kb": 4294967295, "assoc": 4294967295})")
                 .population.spec.org.assoc,
             0xffffffffu);
 }
@@ -214,6 +217,22 @@ TEST(ParseJobLine, SizesWhoseByteCountOverflowsAreRejectedNamingTheKey) {
   expect_rejected(R"({"kind": "population", "size_kb": 18014398509481985})",
                   "job key 'size_kb': 18014398509481985 KB overflows a "
                   "64-bit byte count");
+}
+
+TEST(ParseJobLine, OrganisationsThatCannotIndexAreRejectedNamingTheKeys) {
+  // A 63 KB population job was accepted and then failed at run time with
+  // "set count must be a power of two", naming neither key nor line.
+  expect_rejected(R"({"kind": "population", "size_kb": 63, "out": "x"})",
+                  "job keys 'size_kb' 63 and 'assoc' 4: set count must be "
+                  "a power of two");
+  expect_rejected(R"({"kind": "population", "size_kb": 64, "assoc": 3})",
+                  "job keys 'size_kb' 64 and 'assoc' 3: size_bytes must be "
+                  "a whole number of sets of whole blocks");
+  // The grid named the failure but neither the keys nor the items.
+  expect_rejected(R"({"kind": "population_grid", "sizes_kb": "32,63",)"
+                  R"( "assocs": "2,4"})",
+                  "population grid sizes_kb item 63 KB with assocs item 2: "
+                  "set count must be a power of two");
 }
 
 TEST(ParseJobLine, NegativeListItemsAreMalformedNotWrapped) {

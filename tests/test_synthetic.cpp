@@ -202,20 +202,43 @@ TEST(Synthetic, StreamPhaseSweepsForward) {
   }
 }
 
-/// FNV-1a (64-bit) over the first `n` events' address, kind and gap.
-u64 stream_digest(TraceSource& t, u64 n) {
-  u64 h = 0xcbf29ce484222325ULL;
+/// Folds one event's address, kind and gap into the FNV-1a (64-bit) hash h.
+void mix_event(u64& h, const TraceEvent& e) {
   const auto mix = [&h](u64 v, int bytes) {
     for (int i = 0; i < bytes; ++i, v >>= 8) {
       h = (h ^ (v & 0xff)) * 0x100000001b3ULL;
     }
   };
+  mix(e.ref.addr, 8);
+  mix((e.ref.write ? 1u : 0u) | (e.ref.ifetch ? 2u : 0u), 1);
+  mix(e.gap_instructions, 4);
+}
+
+constexpr u64 kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a (64-bit) over the first `n` events' address, kind and gap.
+u64 stream_digest(TraceSource& t, u64 n) {
+  u64 h = kFnvBasis;
   TraceEvent e;
   for (u64 i = 0; i < n; ++i) {
     if (!t.next(e)) break;
-    mix(e.ref.addr, 8);
-    mix((e.ref.write ? 1u : 0u) | (e.ref.ifetch ? 2u : 0u), 1);
-    mix(e.gap_instructions, 4);
+    mix_event(h, e);
+  }
+  return h;
+}
+
+/// stream_digest through next_block calls of `block` events (the last
+/// clipped to `n`); `delivered` gets the event count.
+u64 block_digest(TraceSource& t, u64 n, u64 block, u64& delivered) {
+  u64 h = kFnvBasis;
+  std::vector<TraceEvent> buf(block);
+  delivered = 0;
+  while (delivered < n) {
+    const u64 want = std::min(block, n - delivered);
+    const u64 got = t.next_block(buf.data(), want);
+    for (u64 i = 0; i < got; ++i) mix_event(h, buf[i]);
+    delivered += got;
+    if (got < want) break;
   }
   return h;
 }
@@ -267,6 +290,71 @@ TEST(Synthetic, StreamDigestsArePinned) {
   odd_blocks.code_footprint_bytes = 4099;
   SyntheticTrace b(odd_blocks, 42);
   EXPECT_EQ(hex(stream_digest(b, 200'000)), hex(0x68de27d102813acaULL));
+}
+
+TEST(Synthetic, NextBlockMatchesNext) {
+  // A looping spec whose phases change every 2k data references and a
+  // non-looping one that ends mid-block, at block sizes 1, 7 and 256.
+  WorkloadSpec looping = spec_profile("gcc");
+  for (PhaseSpec& p : looping.phases) p.duration_refs = 2'000;
+  WorkloadSpec ending = spec_profile("sphinx3");
+  ending.loop_phases = false;
+  for (PhaseSpec& p : ending.phases) p.duration_refs = 3'001;
+  constexpr u64 kEvents = 60'000;
+  for (const WorkloadSpec& spec : {looping, ending}) {
+    SyntheticTrace by_event(spec, 42);
+    u64 events = 0;
+    u64 want = kFnvBasis;
+    TraceEvent e;
+    while (events < kEvents && by_event.next(e)) {
+      mix_event(want, e);
+      ++events;
+    }
+    if (!spec.loop_phases) {
+      ASSERT_LT(events, kEvents) << spec.name << " must end in the window";
+    }
+    for (const u64 block : {u64{1}, u64{7}, u64{256}}) {
+      SyntheticTrace by_block(spec, 42);
+      u64 delivered = 0;
+      EXPECT_EQ(hex(block_digest(by_block, kEvents, block, delivered)),
+                hex(want))
+          << spec.name << ", blocks of " << block;
+      EXPECT_EQ(delivered, events) << spec.name << ", blocks of " << block;
+      if (!spec.loop_phases) {
+        TraceEvent after;
+        EXPECT_EQ(by_block.next_block(&after, 1), 0u) << spec.name;
+        EXPECT_FALSE(by_block.next(after)) << spec.name;
+      }
+    }
+  }
+}
+
+TEST(Synthetic, OffPathStreamDigestsArePinned) {
+  // The first 200k events at trace seed 42 of specs that reach the paths
+  // the common profiles do not, as the generator first made them: sweep
+  // strides longer than the working set (reduced once per phase, over two
+  // phases that change every 20k references), a data reference per
+  // instruction (no gap is drawn, so no ifetch is emitted), and one per
+  // thousand instructions (long gaps, some clamped at 4096).
+  WorkloadSpec long_stride = spec_profile("bzip2");
+  long_stride.phases[0].stream_stride = 2 * 1024 * 1024 + 24;
+  long_stride.phases[1].stream_stride = 7 * 1024 * 1024 + 8;
+  for (PhaseSpec& p : long_stride.phases) {
+    p.stream_frac = 0.9;
+    p.duration_refs = 20'000;
+  }
+  SyntheticTrace a(long_stride, 42);
+  EXPECT_EQ(hex(stream_digest(a, 200'000)), hex(0x2f27ae03a1062facULL));
+
+  WorkloadSpec every_instruction = spec_profile("gcc");
+  every_instruction.refs_per_instruction = 1.0;
+  SyntheticTrace b(every_instruction, 42);
+  EXPECT_EQ(hex(stream_digest(b, 200'000)), hex(0x95e1588c659aafbbULL));
+
+  WorkloadSpec sparse = spec_profile("gcc");
+  sparse.refs_per_instruction = 1e-3;
+  SyntheticTrace c(sparse, 42);
+  EXPECT_EQ(hex(stream_digest(c, 200'000)), hex(0x887365e31cdd4b92ULL));
 }
 
 }  // namespace
