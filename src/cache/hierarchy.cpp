@@ -10,8 +10,17 @@ Hierarchy::Hierarchy(const HierarchyConfig& cfg, CacheArena* arena)
                                       cfg.replacement, arena);
   l1d_ = std::make_unique<CacheLevel>("L1D", cfg.l1d, cfg.l1_hit_latency,
                                       cfg.replacement, arena);
-  l2_ = std::make_unique<CacheLevel>("L2", cfg.l2, cfg.l2_hit_latency,
-                                     cfg.replacement, arena);
+  owned_l2_ = std::make_unique<CacheLevel>("L2", cfg.l2, cfg.l2_hit_latency,
+                                           cfg.replacement, arena);
+  l2_ = owned_l2_.get();
+}
+
+Hierarchy::Hierarchy(const HierarchyConfig& cfg, CacheLevel& shared_l2)
+    : cfg_(cfg), l2_(&shared_l2) {
+  l1i_ = std::make_unique<CacheLevel>("L1I", cfg.l1i, cfg.l1_hit_latency,
+                                      cfg.replacement);
+  l1d_ = std::make_unique<CacheLevel>("L1D", cfg.l1d, cfg.l1_hit_latency,
+                                      cfg.replacement);
 }
 
 CacheArena::Spec Hierarchy::storage_spec(const HierarchyConfig& cfg) {
@@ -26,7 +35,7 @@ AccessOutcome Hierarchy::access(const MemRef& ref) {
 }
 
 void Hierarchy::writeback_from(CacheLevel& from, u64 addr) {
-  if (&from == l2_.get()) {
+  if (&from == l2_) {
     ++mem_writes_;
     return;
   }

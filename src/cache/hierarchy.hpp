@@ -2,6 +2,10 @@
 // fixed-latency DRAM model -- the memory system of the paper's gem5 runs
 // (Table 1: L1 split + L2, one DDR3 channel), simplified to blocking caches
 // (see DESIGN.md section 4 for the CPU-model substitution).
+//
+// This is the one L1 -> L2 -> DRAM routing. A single-core system owns its
+// L2; each core of the multi-core hierarchy (src/multicore) is a Hierarchy
+// that borrows one L2 shared with the other cores.
 #pragma once
 
 #include <memory>
@@ -35,23 +39,18 @@ struct AccessOutcome {
   bool mem_access = false;
 };
 
-/// Anything that can accept a writeback generated outside the demand path
-/// (the PCS transition procedure flushing dirty blocks). Implemented by
-/// Hierarchy and by the multi-core MultiHierarchy.
-class WritebackSink {
- public:
-  virtual ~WritebackSink() = default;
-
-  /// Routes a flushed dirty block from `from` into the level below it.
-  virtual void writeback_from(CacheLevel& from, u64 addr) = 0;
-};
-
 /// Non-inclusive, write-back, write-allocate two-level hierarchy.
-class Hierarchy final : public WritebackSink {
+class Hierarchy final {
  public:
   /// When `arena` is non-null the three levels carve their state from it
   /// (reserve() it with storage_spec() first); see cache_arena.hpp.
   explicit Hierarchy(const HierarchyConfig& cfg, CacheArena* arena = nullptr);
+
+  /// One core's private L1s over `shared_l2`, an L2 that other cores'
+  /// hierarchies use too; it must outlive this one. cfg.l2 goes unused: the
+  /// shared L2 has its own organisation. The L1, L2 and DRAM latencies
+  /// still come from `cfg`, and the DRAM counters count this core's share.
+  Hierarchy(const HierarchyConfig& cfg, CacheLevel& shared_l2);
 
   /// Arena slab footprint of all three levels of `cfg`.
   static CacheArena::Spec storage_spec(const HierarchyConfig& cfg);
@@ -80,8 +79,9 @@ class Hierarchy final : public WritebackSink {
   u32 mem_latency() const noexcept { return cfg_.mem_latency; }
   const HierarchyConfig& config() const noexcept { return cfg_; }
 
-  /// L1 flushes land in L2; L2 flushes go to DRAM.
-  void writeback_from(CacheLevel& from, u64 addr) override;
+  /// Routes a block flushed outside the demand path (the PCS transition
+  /// procedure): L1 flushes land in L2; L2 flushes go to DRAM.
+  void writeback_from(CacheLevel& from, u64 addr);
 
  private:
   template <int K>
@@ -90,9 +90,10 @@ class Hierarchy final : public WritebackSink {
   HierarchyConfig cfg_;
   std::unique_ptr<CacheLevel> l1i_;
   std::unique_ptr<CacheLevel> l1d_;
-  std::unique_ptr<CacheLevel> l2_;
+  CacheLevel* l2_;  ///< owned_l2_ or the L2 shared with other cores
   u64 mem_reads_ = 0;
   u64 mem_writes_ = 0;
+  std::unique_ptr<CacheLevel> owned_l2_;  ///< null when the L2 is shared
 };
 
 }  // namespace pcs

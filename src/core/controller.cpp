@@ -6,13 +6,13 @@
 
 namespace pcs {
 
-PcsController::PcsController(CacheLevel& cache, WritebackSink& sink,
+PcsController::PcsController(CacheLevel& cache, Hierarchy& hier,
                              CycleClock& cpu,
                              std::unique_ptr<PcsMechanism> mechanism,
                              std::unique_ptr<PcsPolicy> policy,
                              EnergyMeter meter, u64 interval_accesses)
     : cache_(&cache),
-      sink_(&sink),
+      hier_(&hier),
       cpu_(&cpu),
       mech_(std::move(mechanism)),
       policy_(std::move(policy)),
@@ -134,7 +134,7 @@ void PcsController::do_transition(u32 want) {
   account_level_cycles(cpu_->cycles());
 
   TransitionResult res = mech_->transition(want, cpu_->cycles());
-  for (u64 addr : res.writeback_addrs) sink_->writeback_from(*cache_, addr);
+  for (u64 addr : res.writeback_addrs) hier_->writeback_from(*cache_, addr);
 
   cpu_->add_stall(res.penalty_cycles);
   meter_.set_state(cpu_->cycles(), mech_->current_vdd(),

@@ -37,10 +37,10 @@ struct ControllerStats {
 /// Governs one cache level.
 class PcsController {
  public:
-  /// PCS-enabled controller. `policy` may be SPCS or DPCS. `sink` receives
-  /// the dirty blocks the transition procedure flushes (normally the
-  /// hierarchy owning `cache`).
-  PcsController(CacheLevel& cache, WritebackSink& sink, CycleClock& cpu,
+  /// PCS-enabled controller. `policy` may be SPCS or DPCS. `hier` is a
+  /// hierarchy holding `cache`; it routes the dirty blocks the transition
+  /// procedure flushes into the level below.
+  PcsController(CacheLevel& cache, Hierarchy& hier, CycleClock& cpu,
                 std::unique_ptr<PcsMechanism> mechanism,
                 std::unique_ptr<PcsPolicy> policy, EnergyMeter meter,
                 u64 interval_accesses);
@@ -117,7 +117,7 @@ class PcsController {
   u64 window_deep_hits() const;
 
   CacheLevel* cache_;
-  WritebackSink* sink_ = nullptr;
+  Hierarchy* hier_ = nullptr;
   CycleClock* cpu_;
   std::unique_ptr<PcsMechanism> mech_;
   std::unique_ptr<PcsPolicy> policy_;

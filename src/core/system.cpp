@@ -45,7 +45,7 @@ CacheArena::Spec PcsSystem::storage_spec(const SystemConfig& config) {
 
 std::unique_ptr<PcsController> make_pcs_controller(
     const SystemConfig& cfg, PolicyKind kind, CacheLevel& cache,
-    const CacheLevelConfig& lc, u64 seed, WritebackSink& sink,
+    const CacheLevelConfig& lc, u64 seed, Hierarchy& hier,
     CycleClock& cpu, VddLadder* out) {
   const Technology& tech = cfg.tech;
   const double clock_hz = cfg.clock_ghz * 1e9;
@@ -106,7 +106,7 @@ std::unique_ptr<PcsController> make_pcs_controller(
                         MechanismSpec::pcs(ladder.num_levels()));
   EnergyMeter meter(model, clock_hz, mech->current_vdd(),
                     mech->gated_fraction());
-  return std::make_unique<PcsController>(cache, sink, cpu,
+  return std::make_unique<PcsController>(cache, hier, cpu,
                                          std::move(mech), std::move(policy),
                                          std::move(meter), lc.dpcs_interval);
 }

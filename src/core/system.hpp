@@ -92,12 +92,12 @@ struct SimReport {
 /// Builds the controller of one cache level of a `cfg` system under
 /// `kind`: the design-time ladder for lc.org (stored to `*out` when
 /// non-null), the die's fault map manufactured from `seed`, the policy and
-/// the energy meter. `sink` takes the blocks a transition flushes and
-/// `cpu` is charged its stalls. PcsSystem and MultiPcsSystem build every
-/// controller here.
+/// the energy meter. `hier`, a hierarchy holding `cache`, takes the blocks
+/// a transition flushes and `cpu` is charged its stalls. PcsSystem and
+/// MultiPcsSystem build every controller here.
 std::unique_ptr<PcsController> make_pcs_controller(
     const SystemConfig& cfg, PolicyKind kind, CacheLevel& cache,
-    const CacheLevelConfig& lc, u64 seed, WritebackSink& sink,
+    const CacheLevelConfig& lc, u64 seed, Hierarchy& hier,
     CycleClock& cpu, VddLadder* out = nullptr);
 
 /// A manufactured, policy-equipped simulated system.

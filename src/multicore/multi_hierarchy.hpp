@@ -4,11 +4,15 @@
 //
 // This implements the paper's named future-work direction ("a broader
 // design space exploration involving multi-core systems with consideration
-// of cache coherence"). The coherence protocol is a bus-snooping MSI:
+// of cache coherence"). Each core is a single-core Hierarchy whose L2 is
+// the one shared L2, so the L1 -> L2 -> DRAM routing (fills, writebacks,
+// bypassed stores, DRAM counts) is Hierarchy's own; this class adds only
+// the bus. The coherence protocol is a bus-snooping MSI:
 //   * a store miss (or a store hit on a potentially shared line) broadcasts
 //     an invalidation that removes the block from every other L1D;
 //   * a load miss that finds a dirty copy in a remote L1D forces that copy
-//     to be written back to the shared L2 before the fill;
+//     to be written back to the shared L2 (through its own core's
+//     hierarchy) before the fill;
 //   * L1I caches hold read-only code and never need invalidation (cores
 //     run disjoint code segments).
 // Each bus transaction costs `snoop_latency` cycles on the requester.
@@ -18,23 +22,18 @@
 #include <vector>
 
 #include "cache/cache_level.hpp"
-#include "cache/mem_ref.hpp"
 #include "cache/hierarchy.hpp"
+#include "cache/mem_ref.hpp"
 #include "util/types.hpp"
 
 namespace pcs {
 
-/// Construction parameters for the multi-core system.
+/// Construction parameters for the multi-core system. `levels` gives every
+/// core's L1s, the shared L2's organisation and all latencies.
 struct MultiHierarchyConfig {
+  HierarchyConfig levels;
   u32 num_cores = 2;
-  CacheOrg l1i{64 * 1024, 4, 64, 31};
-  CacheOrg l1d{64 * 1024, 4, 64, 31};
-  CacheOrg l2{2 * 1024 * 1024, 8, 64, 31};
-  u32 l1_hit_latency = 2;
-  u32 l2_hit_latency = 4;
-  u32 mem_latency = 120;
   u32 snoop_latency = 12;  ///< bus round trip for an invalidate / intervention
-  const char* replacement = "lru";
 };
 
 /// Coherence-event counters.
@@ -45,42 +44,36 @@ struct CoherenceStats {
 };
 
 /// Shared-L2 multi-core hierarchy with MSI-snooped private L1s.
-class MultiHierarchy final : public WritebackSink {
+class MultiHierarchy {
  public:
   explicit MultiHierarchy(const MultiHierarchyConfig& cfg);
 
-  /// One demand reference from `core`. Handles coherence, fills,
-  /// writebacks, and DRAM end-to-end.
+  /// One demand reference from `core`: the snoop, then the core's own
+  /// Hierarchy access, then the snoop's bus latency.
   AccessOutcome access(u32 core, const MemRef& ref);
 
-  CacheLevel& l1i(u32 core) noexcept { return *l1i_[core]; }
-  CacheLevel& l1d(u32 core) noexcept { return *l1d_[core]; }
+  /// Core `c`'s hierarchy: its private L1s over the shared L2. PCS flushes
+  /// of its L1s route through it (and the shared L2's through core 0's).
+  Hierarchy& core(u32 c) noexcept { return *cores_[c]; }
+  CacheLevel& l1i(u32 c) noexcept { return cores_[c]->l1i(); }
+  CacheLevel& l1d(u32 c) noexcept { return cores_[c]->l1d(); }
   CacheLevel& l2() noexcept { return *l2_; }
-  u32 num_cores() const noexcept { return cfg_.num_cores; }
-  const MultiHierarchyConfig& config() const noexcept { return cfg_; }
   const CoherenceStats& coherence() const noexcept { return coherence_; }
-  u64 mem_reads() const noexcept { return mem_reads_; }
-  u64 mem_writes() const noexcept { return mem_writes_; }
-
-  /// PCS transition flushes: L1 blocks drain to the shared L2, L2 blocks to
-  /// memory.
-  void writeback_from(CacheLevel& from, u64 addr) override;
+  /// DRAM traffic summed over the cores.
+  u64 mem_reads() const noexcept;
+  u64 mem_writes() const noexcept;
 
  private:
-  void l2_access(u64 addr, bool write, AccessOutcome& out);
-  void l2_receive_writeback(u64 addr);
-  /// Invalidate `addr` in every L1D except `requester`; dirty copies are
-  /// written back to L2 first. Returns true if any remote copy existed.
-  bool snoop_remote(u32 requester, u64 addr, bool for_store,
-                    AccessOutcome& out);
+  /// Invalidate (store) or downgrade (load) `addr` in every L1D except
+  /// `requester`'s; dirty copies drain to the shared L2 through their own
+  /// core's hierarchy. Returns the bus latency: snoop_latency when any
+  /// remote copy existed, else 0.
+  Cycle snoop_remote(u32 requester, u64 addr, bool for_store);
 
-  MultiHierarchyConfig cfg_;
-  std::vector<std::unique_ptr<CacheLevel>> l1i_;
-  std::vector<std::unique_ptr<CacheLevel>> l1d_;
+  u32 snoop_latency_;
   std::unique_ptr<CacheLevel> l2_;
+  std::vector<std::unique_ptr<Hierarchy>> cores_;
   CoherenceStats coherence_;
-  u64 mem_reads_ = 0;
-  u64 mem_writes_ = 0;
 };
 
 }  // namespace pcs

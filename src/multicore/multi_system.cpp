@@ -33,30 +33,24 @@ MultiPcsSystem::MultiPcsSystem(const MultiSystemConfig& config,
                                PolicyKind kind, u64 chip_seed)
     : cfg_(config), kind_(kind) {
   if (cfg_.num_cores == 0) throw std::invalid_argument("need >= 1 core");
-  MultiHierarchyConfig hc;
-  hc.num_cores = cfg_.num_cores;
-  hc.l1i = cfg_.base.l1i.org;
-  hc.l1d = cfg_.base.l1d.org;
-  hc.l2 = cfg_.base.l2.org;
-  hc.l1_hit_latency = cfg_.base.l1i.hit_latency;
-  hc.l2_hit_latency = cfg_.base.l2.hit_latency;
-  hc.mem_latency = cfg_.base.mem_latency;
-  hc.snoop_latency = cfg_.snoop_latency;
-  hc.replacement = cfg_.base.replacement;
-  hier_ = std::make_unique<MultiHierarchy>(hc);
+  hier_ = std::make_unique<MultiHierarchy>(MultiHierarchyConfig{
+      cfg_.base.hierarchy_config(), cfg_.num_cores, cfg_.snoop_latency});
   cpu_ = std::make_unique<MultiCpu>(cfg_.num_cores);
 
+  // Core c's L1 flushes drain through core c's hierarchy; the shared L2's
+  // go to DRAM through core 0's.
   Rng chip_rng(chip_seed);
   for (u32 c = 0; c < cfg_.num_cores; ++c) {
-    ctl_l1i_.push_back(make_pcs_controller(cfg_.base, kind_, hier_->l1i(c),
+    Hierarchy& h = hier_->core(c);
+    ctl_l1i_.push_back(make_pcs_controller(cfg_.base, kind_, h.l1i(),
                                            cfg_.base.l1i, chip_rng.next_u64(),
-                                           *hier_, *cpu_));
-    ctl_l1d_.push_back(make_pcs_controller(cfg_.base, kind_, hier_->l1d(c),
+                                           h, *cpu_));
+    ctl_l1d_.push_back(make_pcs_controller(cfg_.base, kind_, h.l1d(),
                                            cfg_.base.l1d, chip_rng.next_u64(),
-                                           *hier_, *cpu_));
+                                           h, *cpu_));
   }
   ctl_l2_ = make_pcs_controller(cfg_.base, kind_, hier_->l2(), cfg_.base.l2,
-                                chip_rng.next_u64(), *hier_, *cpu_);
+                                chip_rng.next_u64(), hier_->core(0), *cpu_);
 }
 
 MultiSimReport MultiPcsSystem::run(std::vector<TraceSource*> traces,

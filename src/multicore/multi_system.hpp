@@ -1,9 +1,11 @@
 // Multi-core PCS system assembly (the paper's multi-core future work).
 //
 // N blocking cores, each driving its own trace, interleaved in timestamp
-// order over the coherent MultiHierarchy. Every private L1 and the shared
-// L2 gets its own PCS controller; an L2 voltage transition stalls all cores
-// (the shared cache is unavailable during the metadata sweep).
+// order over the coherent MultiHierarchy, where each core is a single-core
+// Hierarchy over the shared L2. Every private L1 and the shared L2 gets its
+// own PCS controller, built by the single-core system's factory; an L2
+// voltage transition stalls all cores (the shared cache is unavailable
+// during the metadata sweep).
 #pragma once
 
 #include <memory>
@@ -84,11 +86,6 @@ class MultiPcsSystem {
   /// `params.warmup_refs` per core.
   MultiSimReport run(std::vector<TraceSource*> traces,
                      const RunParams& params);
-
-  MultiHierarchy& hierarchy() noexcept { return *hier_; }
-  PcsController& l2_controller() noexcept { return *ctl_l2_; }
-  PcsController& l1d_controller(u32 core) noexcept { return *ctl_l1d_[core]; }
-  PolicyKind kind() const noexcept { return kind_; }
 
  private:
   MultiSystemConfig cfg_;

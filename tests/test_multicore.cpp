@@ -12,12 +12,12 @@ namespace {
 MultiHierarchyConfig tiny_mc(u32 cores) {
   MultiHierarchyConfig cfg;
   cfg.num_cores = cores;
-  cfg.l1i = {4 * 1024, 2, 64, 31};
-  cfg.l1d = {4 * 1024, 2, 64, 31};
-  cfg.l2 = {64 * 1024, 4, 64, 31};
-  cfg.l1_hit_latency = 2;
-  cfg.l2_hit_latency = 6;
-  cfg.mem_latency = 100;
+  cfg.levels.l1i = {4 * 1024, 2, 64, 31};
+  cfg.levels.l1d = {4 * 1024, 2, 64, 31};
+  cfg.levels.l2 = {64 * 1024, 4, 64, 31};
+  cfg.levels.l1_hit_latency = 2;
+  cfg.levels.l2_hit_latency = 6;
+  cfg.levels.mem_latency = 100;
   cfg.snoop_latency = 10;
   return cfg;
 }
@@ -92,9 +92,9 @@ TEST(MultiHierarchy, IfetchNeverSnoops) {
 
 TEST(MultiHierarchy, PcsWritebackRouting) {
   MultiHierarchy h(tiny_mc(2));
-  h.writeback_from(h.l1d(0), 0x5000);
+  h.core(0).writeback_from(h.l1d(0), 0x5000);
   EXPECT_EQ(h.l2().stats().writebacks_in, 1u);
-  h.writeback_from(h.l2(), 0x5000);
+  h.core(0).writeback_from(h.l2(), 0x5000);
   EXPECT_EQ(h.mem_writes(), 1u);
 }
 
@@ -218,6 +218,38 @@ TEST(MultiPcsSystem, MoreCoresMoreL2Pressure) {
   EXPECT_GE(four.l2_miss_rate, two.l2_miss_rate * 0.9);
   EXPECT_GT(four.refs, two.refs);
   EXPECT_GT(four.wall_cycles, two.wall_cycles / 2);
+}
+
+// One core over the shared L2 is the single-core system: the same
+// routing, controllers, chip draws and clock, so every figure is bit-equal.
+TEST(MultiPcsSystem, OneCoreIsPcsSystem) {
+  RunParams p;
+  p.max_refs = 300'000;
+  p.warmup_refs = 75'000;
+  for (const char* name : {"hmmer", "gcc", "mcf"}) {
+    for (PolicyKind kind : {PolicyKind::kBaseline, PolicyKind::kStatic,
+                            PolicyKind::kDynamic}) {
+      SCOPED_TRACE(std::string(name) + " " + to_string(kind));
+      MultiSystemConfig mc;
+      mc.num_cores = 1;
+      MultiPcsSystem multi(mc, kind, 5);
+      auto mt = make_spec_trace(name, 3);
+      const MultiSimReport m = multi.run({mt.get()}, p);
+
+      PcsSystem single(mc.base, kind, 5);
+      auto st = make_spec_trace(name, 3);
+      const SimReport s = single.run(*st, p);
+
+      EXPECT_EQ(m.wall_cycles, s.cycles);
+      EXPECT_EQ(m.instructions, s.instructions);
+      EXPECT_EQ(m.refs, s.refs);
+      EXPECT_EQ(m.l1_energy, s.l1i.total_energy() + s.l1d.total_energy());
+      EXPECT_EQ(m.l2_energy, s.l2.total_energy());
+      EXPECT_EQ(m.l2_avg_vdd, s.l2.avg_vdd);
+      EXPECT_EQ(m.l2_transitions, s.l2.transitions);
+      EXPECT_EQ(m.l2_miss_rate, s.l2.miss_rate);
+    }
+  }
 }
 
 TEST(MultiPcsSystem, RejectsTraceCountMismatch) {
