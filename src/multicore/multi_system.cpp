@@ -8,7 +8,8 @@
 namespace pcs {
 
 Cycle MultiCpu::cycles() const noexcept {
-  return *std::min_element(t_.begin(), t_.end());
+  const u32 c = next_core();
+  return c < t_.size() ? t_[c] : wall_cycles();
 }
 
 void MultiCpu::add_stall(Cycle penalty) noexcept {
@@ -16,8 +17,12 @@ void MultiCpu::add_stall(Cycle penalty) noexcept {
 }
 
 u32 MultiCpu::next_core() const noexcept {
-  return static_cast<u32>(
-      std::min_element(t_.begin(), t_.end()) - t_.begin());
+  const auto n = static_cast<u32>(t_.size());
+  u32 best = n;
+  for (u32 c = 0; c < n; ++c) {
+    if (running_[c] && (best == n || t_[c] < t_[best])) best = c;
+  }
+  return best;
 }
 
 Cycle MultiCpu::wall_cycles() const noexcept {
@@ -65,39 +70,40 @@ MultiSimReport MultiPcsSystem::run(std::vector<TraceSource*> traces,
     ctl_l2_->tick();
   };
 
-  std::vector<u64> refs(cfg_.num_cores, 0);
-  std::vector<bool> alive(cfg_.num_cores, true);
+  const u32 n = cfg_.num_cores;
+  std::vector<u64> refs(n, 0);
+  std::vector<bool> alive(n, true);
   u64 instructions = 0;
 
-  auto step_phase = [&](u64 per_core_target) {
+  // Each core with trace left runs until it has retired `per_core_target`
+  // references, then stops; the laggard running core executes next.
+  auto start_phase = [&](u64 per_core_target) {
     std::fill(refs.begin(), refs.end(), 0);
-    for (;;) {
-      // Pick the laggard core that still has work.
-      u32 core = cfg_.num_cores;
-      Cycle best = ~Cycle{0};
-      for (u32 c = 0; c < cfg_.num_cores; ++c) {
-        if (!alive[c] || refs[c] >= per_core_target) continue;
-        if (cpu_->core_cycles(c) < best) {
-          best = cpu_->core_cycles(c);
-          core = c;
-        }
-      }
-      if (core == cfg_.num_cores) break;  // all done or dead
+    for (u32 c = 0; c < n; ++c) {
+      cpu_->set_running(c, alive[c] && per_core_target > 0);
+    }
+  };
+  auto step_phase = [&](u64 per_core_target) {
+    for (u32 core; (core = cpu_->next_core()) < n;) {
       TraceEvent ev;
       if (!traces[core]->next(ev)) {
         alive[core] = false;
+        cpu_->set_running(core, false);
         continue;
       }
       const AccessOutcome out = hier_->access(core, ev.ref);
       cpu_->advance(core, ev.gap_instructions + out.latency);
       instructions += ev.gap_instructions + 1;
-      ++refs[core];
+      if (++refs[core] == per_core_target) cpu_->set_running(core, false);
       tick_all();
     }
   };
 
-  // Warm-up, then measured window.
+  // Warm-up, then the measured window, which opens at the front of the
+  // cores that run in it.
+  start_phase(params.warmup_refs);
   step_phase(params.warmup_refs);
+  start_phase(params.max_refs);
   for (auto& c : ctl_l1i_) c->reset_measurement();
   for (auto& c : ctl_l1d_) c->reset_measurement();
   ctl_l2_->reset_measurement();

@@ -5,7 +5,8 @@
 // Hierarchy over the shared L2. Every private L1 and the shared L2 gets its
 // own PCS controller, built by the single-core system's factory; an L2
 // voltage transition stalls all cores (the shared cache is unavailable
-// during the metadata sweep).
+// during the metadata sweep). The controllers read the front of the cores
+// still running, so time keeps moving after the first core finishes.
 #pragma once
 
 #include <memory>
@@ -24,18 +25,26 @@ namespace pcs {
 
 /// Per-core timelines behind one CycleClock face.
 ///
-/// cycles() reports the simulation front (the minimum core time, which is
-/// what advances next); add_stall() charges every core, modelling a
-/// shared-resource stall.
+/// cycles() reports the simulation front: the time of the running core
+/// furthest behind, which is what advances next, or the wall clock when no
+/// core runs. A core that has finished its share of the run or whose trace
+/// ended stops, and leaves the front. add_stall() charges every core,
+/// running or not, modelling a shared-resource stall.
 class MultiCpu final : public CycleClock {
  public:
-  explicit MultiCpu(u32 num_cores) : t_(num_cores, 0) {}
+  explicit MultiCpu(u32 num_cores)
+      : t_(num_cores, 0), running_(num_cores, 1) {}
 
   Cycle cycles() const noexcept override;
   void add_stall(Cycle penalty) noexcept override;
 
-  /// Core whose clock is furthest behind (executes next).
+  /// Running core whose clock is furthest behind (executes next; the
+  /// lowest index on a tie), or the core count when no core runs.
   u32 next_core() const noexcept;
+  /// Starts or stops `core` (every core starts running).
+  void set_running(u32 core, bool running) noexcept {
+    running_[core] = running ? 1 : 0;
+  }
   void advance(u32 core, Cycle dt) noexcept { t_[core] += dt; }
   Cycle core_cycles(u32 core) const noexcept { return t_[core]; }
   /// Wall-clock end of the run: the slowest core.
@@ -45,6 +54,7 @@ class MultiCpu final : public CycleClock {
 
  private:
   std::vector<Cycle> t_;
+  std::vector<u8> running_;
 };
 
 /// Multi-core configuration: the single-core config supplies cache
@@ -86,6 +96,8 @@ class MultiPcsSystem {
   /// `params.warmup_refs` per core.
   MultiSimReport run(std::vector<TraceSource*> traces,
                      const RunParams& params);
+
+  PcsController& l2_controller() noexcept { return *ctl_l2_; }
 
  private:
   MultiSystemConfig cfg_;

@@ -3,6 +3,7 @@
 #include "multicore/multi_system.hpp"
 
 #include <gtest/gtest.h>
+#include <cmath>
 
 #include "workload/spec_profiles.hpp"
 
@@ -144,6 +145,26 @@ TEST(MultiCpu, ClockSemantics) {
   EXPECT_EQ(cpu.cycles(), cpu.wall_cycles());
 }
 
+TEST(MultiCpu, StoppedCoreLeavesTheFront) {
+  MultiCpu cpu(3);
+  cpu.advance(0, 100);
+  cpu.advance(1, 50);
+  cpu.advance(2, 200);
+  cpu.set_running(1, false);        // core 1 finished its share
+  EXPECT_EQ(cpu.next_core(), 0u);
+  EXPECT_EQ(cpu.cycles(), 100u);    // the front moves on without it
+  cpu.add_stall(10);                // stalls still charge every core
+  EXPECT_EQ(cpu.core_cycles(1), 60u);
+  EXPECT_EQ(cpu.cycles(), 110u);
+  cpu.set_running(0, false);
+  cpu.set_running(2, false);
+  EXPECT_EQ(cpu.next_core(), 3u);   // nothing runs
+  EXPECT_EQ(cpu.cycles(), cpu.wall_cycles());
+  cpu.set_running(1, true);
+  EXPECT_EQ(cpu.next_core(), 1u);
+  EXPECT_EQ(cpu.cycles(), 60u);
+}
+
 // ---------------------------------------------------------------------------
 
 MultiSystemConfig quick_cfg(u32 cores) {
@@ -250,6 +271,34 @@ TEST(MultiPcsSystem, OneCoreIsPcsSystem) {
       EXPECT_EQ(m.l2_miss_rate, s.l2.miss_rate);
     }
   }
+}
+
+// A core whose trace ends in warm-up leaves the front, so the controllers
+// keep reading the running core's time: the L2's measured window is the
+// wall window, and its average VDD weighs each DPCS level by the time
+// spent at it rather than charging nearly the whole window at the final
+// level once the front freezes.
+TEST(MultiPcsSystem, CoreWhoseTraceEndsInWarmupLeavesTheFront) {
+  MultiPcsSystem sys(quick_cfg(2), PolicyKind::kDynamic, 1);
+  WorkloadSpec ending = spec_profile("gcc");
+  ending.data_base_addr += 0x1000'0000;
+  ending.code_base_addr += 0x0100'0000;
+  ending.phases.resize(1);
+  ending.phases[0].duration_refs = 2'000;
+  ending.loop_phases = false;
+  SyntheticTrace t0(spec_profile("mcf"), 100);
+  SyntheticTrace t1(ending, 101);
+  RunParams p;
+  p.max_refs = 300'000;
+  p.warmup_refs = 75'000;
+  const MultiSimReport r = sys.run({&t0, &t1}, p);
+  EXPECT_EQ(r.refs, 300'000u);
+  ASSERT_GE(r.l2_transitions, 2u);
+  const PcsController& l2 = sys.l2_controller();
+  Cycle resident = 0;
+  for (Cycle c : l2.pcs_stats().cycles_at_level) resident += c;
+  EXPECT_EQ(resident, r.wall_cycles);
+  EXPECT_GT(std::abs(r.l2_avg_vdd - l2.current_vdd()), 0.005);
 }
 
 TEST(MultiPcsSystem, RejectsTraceCountMismatch) {
