@@ -114,10 +114,7 @@ MultiSimReport MultiPcsSystem::run(std::vector<TraceSource*> traces,
   step_phase(params.max_refs);
 
   MultiSimReport rep;
-  for (u32 c = 0; c < cfg_.num_cores; ++c) {
-    rep.core_cycles.push_back(cpu_->core_cycles(c) - wall_before);
-    rep.refs += refs[c];
-  }
+  for (u64 r : refs) rep.refs += r;
 
   // Align the clocks so leakage integrates over the full wall window.
   cpu_->close();
@@ -127,11 +124,11 @@ MultiSimReport MultiPcsSystem::run(std::vector<TraceSource*> traces,
 
   rep.config_name = cfg_.base.name;
   rep.policy = to_string(kind_);
-  rep.num_cores = cfg_.num_cores;
+  rep.num_cores = n;
   rep.wall_cycles = cpu_->wall_cycles() - wall_before;
   rep.instructions = instructions;
   rep.coherence = hier_->coherence();
-  for (u32 c = 0; c < cfg_.num_cores; ++c) {
+  for (u32 c = 0; c < n; ++c) {
     rep.l1_energy += ctl_l1i_[c]->meter().total_energy();
     rep.l1_energy += ctl_l1d_[c]->meter().total_energy();
   }

@@ -72,7 +72,6 @@ struct MultiSimReport {
   std::string policy;
   u32 num_cores = 0;
   Cycle wall_cycles = 0;
-  std::vector<Cycle> core_cycles;
   u64 refs = 0;
   u64 instructions = 0;
   CoherenceStats coherence;

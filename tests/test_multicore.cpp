@@ -203,7 +203,6 @@ TEST(MultiPcsSystem, RunsAndReports) {
   EXPECT_EQ(r.num_cores, 2u);
   EXPECT_EQ(r.refs, 120'000u);
   EXPECT_GT(r.wall_cycles, 0u);
-  EXPECT_EQ(r.core_cycles.size(), 2u);
   EXPECT_GT(r.total_cache_energy(), 0.0);
 }
 
