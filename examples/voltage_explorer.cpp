@@ -98,9 +98,9 @@ int main(int argc, char** argv) {
   }
   const u64 size_kb =
       argc > 1 ? cli_u64(kProg, "size_kb", argv[1], 1, u64{1} << 30) : 2048;
+  // CacheLevel holds at most 32 ways.
   const u32 assoc =
-      argc > 2 ? static_cast<u32>(
-                     cli_u64(kProg, "assoc", argv[2], 1, 0xffffffffULL))
+      argc > 2 ? static_cast<u32>(cli_u64(kProg, "assoc", argv[2], 1, 32))
                : 8;
 
   const CacheOrg org{size_kb * 1024, assoc, 64, 31};

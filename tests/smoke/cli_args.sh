@@ -49,11 +49,12 @@ for refs in abc -1 1e3; do
   expect_exit 2 env PCS_REFS="$refs" "$bench/fig4_simulation"
 done
 expect_exit 2 "$bench/fig4_simulation" --sweep-lanes
-for args in abc '64abc 4' '64 4x' '0 4' '64 0' '64 3' \
+for args in abc '64abc 4' '64 4x' '0 4' '64 0' '64 3' '2048 64' \
     --sweep-lanes '64 4 --sweep-lanes'; do
   # shellcheck disable=SC2086  # split args on purpose
   expect_exit 2 "$examples/voltage_explorer" $args
 done
+expect_silent_exit_2 "$examples/voltage_explorer" 2048 64
 expect_exit 0 "$examples/voltage_explorer" 64 4
 expect_exit 2 "$examples/pcs_sim" --policy dpcs --refs abc
 for levels in 1 256 300 4294967299 3x; do
