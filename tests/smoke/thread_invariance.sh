@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Thread-invariance smoke: every engine's output is byte-identical at 1 and
 # 8 threads -- fig4's report and its trace minus the *_profile records,
-# fig3's Monte-Carlo section, chip_binning at any shard size, and a
-# population grid's report and per-point files, which match standalone
-# chip_binning runs -- and the job service writes what the standalone CLIs
-# print for a sim, a population and a grid job.
+# fig3's Monte-Carlo section, ext_multicore, chip_binning at any shard
+# size, and a population grid's report and per-point files, which match
+# standalone chip_binning runs -- and the job service writes what the
+# standalone CLIs print for a sim, a population and a grid job.
 #
 #   tests/smoke/thread_invariance.sh BENCH_DIR EXAMPLES_DIR
 #
@@ -40,6 +40,12 @@ cmp fig4_trace_det_t1.jsonl fig4_trace_det_t8.jsonl
 PCS_TRIALS=500 PCS_THREADS=1 "$bench/fig3_yield" > fig3_t1.txt
 PCS_TRIALS=500 PCS_THREADS=8 "$bench/fig3_yield" > fig3_t8.txt
 cmp fig3_t1.txt fig3_t8.txt
+
+# ---- EXT-MC multi-core -----------------------------------------------------
+
+PCS_REFS=200000 PCS_THREADS=1 "$bench/ext_multicore" > mc_t1.txt
+PCS_REFS=200000 PCS_THREADS=8 "$bench/ext_multicore" > mc_t8.txt
+cmp mc_t1.txt mc_t8.txt
 
 # ---- Population: any thread count, any shard size --------------------------
 
