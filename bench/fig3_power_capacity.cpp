@@ -38,22 +38,15 @@ int main() {
                      0.50}) {
     // Proposed: lowest voltage whose expected capacity stays >= cap; faulty
     // blocks are power gated.
-    Volt v_pcs = tech.vdd_nominal;
-    for (Volt v = tech.vdd_floor; v <= tech.vdd_nominal; v += tech.vdd_step) {
-      if (ym.expected_capacity(v) >= cap) {
-        v_pcs = v;
-        break;
-      }
-    }
+    const Volt v_pcs =
+        lowest_grid_vdd(tech.vdd_floor, tech.vdd_nominal, tech.vdd_step,
+                        [&](Volt v) { return ym.expected_capacity(v) >= cap; });
     const double gated = 1.0 - ym.expected_capacity(v_pcs);
     const Watt p_pcs = pcs_model.static_power(v_pcs, gated).total();
 
-    const Volt v_fft = [&] {
-      for (Volt v = tech.vdd_floor; v <= tech.vdd_nominal; v += tech.vdd_step) {
-        if (fft.effective_capacity(v) >= cap) return v;
-      }
-      return tech.vdd_nominal;
-    }();
+    const Volt v_fft =
+        lowest_grid_vdd(tech.vdd_floor, tech.vdd_nominal, tech.vdd_step,
+                        [&](Volt v) { return fft.effective_capacity(v) >= cap; });
     const Watt p_fft = fft.static_power(v_fft);
 
     // Way gating: interpolate between whole-way points.

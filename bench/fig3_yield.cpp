@@ -57,16 +57,13 @@ int main(int argc, char** argv) {
 
   std::cout << "\nmin-VDD at 99% yield:\n";
   TextTable m({"scheme", "min-VDD (V)"});
-  auto grid_min = [&](auto&& yield_fn) {
-    for (Volt v = tech.vdd_floor; v <= tech.vdd_nominal; v += tech.vdd_step) {
-      if (yield_fn(v) >= 0.99) return v;
-    }
-    return tech.vdd_nominal;
-  };
   m.add_row({"conventional",
-             fmt_fixed(grid_min([&](Volt v) {
-                         return pcs_yield.conventional_yield(v);
-                       }),
+             fmt_fixed(lowest_grid_vdd(tech.vdd_floor, tech.vdd_nominal,
+                                       tech.vdd_step,
+                                       [&](Volt v) {
+                                         return pcs_yield.conventional_yield(
+                                                    v) >= 0.99;
+                                       }),
                        2)});
   m.add_row({"SECDED", fmt_fixed(secded.min_vdd(0.99, tech.vdd_floor,
                                                 tech.vdd_nominal,

@@ -22,10 +22,10 @@ double DrowsyCacheModel::hold_failure_ber(Volt vdd) const noexcept {
 Volt DrowsyCacheModel::safe_retention_vdd(
     double max_corrupted_cells) const noexcept {
   const double cells = static_cast<double>(org_.data_bits());
-  for (Volt v = tech_.vdd_floor; v <= tech_.vdd_nominal; v += tech_.vdd_step) {
-    if (hold_failure_ber(v) * cells <= max_corrupted_cells) return v;
-  }
-  return tech_.vdd_nominal;
+  return lowest_grid_vdd(
+      tech_.vdd_floor, tech_.vdd_nominal, tech_.vdd_step, [&](Volt v) {
+        return hold_failure_ber(v) * cells <= max_corrupted_cells;
+      });
 }
 
 Watt DrowsyCacheModel::static_power(double drowsy_fraction,

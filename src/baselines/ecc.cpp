@@ -39,12 +39,8 @@ double EccYieldModel::correction_consumed(Volt vdd) const noexcept {
 
 Volt EccYieldModel::min_vdd(double yield_target, Volt v_floor, Volt v_nominal,
                             Volt step) const noexcept {
-  const auto n = static_cast<long>(std::llround((v_nominal - v_floor) / step));
-  for (long i = 0; i <= n; ++i) {
-    const Volt v = v_floor + step * static_cast<double>(i);
-    if (yield(v) >= yield_target) return v;
-  }
-  return v_nominal;
+  return lowest_grid_vdd(v_floor, v_nominal, step,
+                         [&](Volt v) { return yield(v) >= yield_target; });
 }
 
 }  // namespace pcs

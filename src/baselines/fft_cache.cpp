@@ -94,24 +94,16 @@ Watt FftCacheModel::static_power(Volt vdd) const noexcept {
 }
 
 Volt FftCacheModel::min_vdd(double yield_target) const noexcept {
-  const Volt step = tech_.vdd_step;
-  for (Volt v = tech_.vdd_floor; v <= tech_.vdd_nominal + step / 2;
-       v += step) {
-    if (yield(v) >= yield_target) return v;
-  }
-  return tech_.vdd_nominal;
+  return lowest_grid_vdd(tech_.vdd_floor, tech_.vdd_nominal, tech_.vdd_step,
+                         [&](Volt v) { return yield(v) >= yield_target; });
 }
 
 Volt FftCacheModel::vdd_for_capacity(double cap_target,
                                      double yield_target) const noexcept {
-  const Volt step = tech_.vdd_step;
-  for (Volt v = tech_.vdd_floor; v <= tech_.vdd_nominal + step / 2;
-       v += step) {
-    if (effective_capacity(v) >= cap_target && yield(v) >= yield_target) {
-      return v;
-    }
-  }
-  return tech_.vdd_nominal;
+  return lowest_grid_vdd(
+      tech_.vdd_floor, tech_.vdd_nominal, tech_.vdd_step, [&](Volt v) {
+        return effective_capacity(v) >= cap_target && yield(v) >= yield_target;
+      });
 }
 
 }  // namespace pcs

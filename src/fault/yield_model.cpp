@@ -28,33 +28,16 @@ double YieldModel::conventional_yield(Volt vdd) const noexcept {
                        static_cast<double>(org_.num_blocks()));
 }
 
-namespace {
-
-/// Walks the voltage grid upward and returns the first voltage accepted by
-/// `ok`; returns v_nominal if none below it is accepted.
-template <typename Pred>
-Volt grid_search(Volt v_floor, Volt v_nominal, Volt step, Pred ok) noexcept {
-  // Iterate on an integer grid to avoid accumulating FP error in 10 mV steps.
-  const auto n = static_cast<long>(std::llround((v_nominal - v_floor) / step));
-  for (long i = 0; i <= n; ++i) {
-    const Volt v = v_floor + step * static_cast<double>(i);
-    if (ok(v)) return v;
-  }
-  return v_nominal;
-}
-
-}  // namespace
-
 Volt YieldModel::min_vdd(double yield_target, Volt v_floor, Volt v_nominal,
                          Volt step) const noexcept {
-  return grid_search(v_floor, v_nominal, step,
-                     [&](Volt v) { return yield(v) >= yield_target; });
+  return lowest_grid_vdd(v_floor, v_nominal, step,
+                         [&](Volt v) { return yield(v) >= yield_target; });
 }
 
 Volt YieldModel::min_vdd_for_capacity(double cap_target, double yield_target,
                                       Volt v_floor, Volt v_nominal,
                                       Volt step) const noexcept {
-  return grid_search(v_floor, v_nominal, step, [&](Volt v) {
+  return lowest_grid_vdd(v_floor, v_nominal, step, [&](Volt v) {
     return expected_capacity(v) >= cap_target && yield(v) >= yield_target;
   });
 }

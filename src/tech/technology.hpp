@@ -8,6 +8,7 @@
 // substitution rationale.
 #pragma once
 
+#include <cmath>
 #include <string>
 
 #include "util/types.hpp"
@@ -78,5 +79,19 @@ struct Technology {
   /// ablation benches to check model monotonicity under different constants.
   static Technology soi45_worst_corner();
 };
+
+/// The lowest voltage of the grid v_floor, v_floor + step, ..., v_nominal
+/// that `ok` accepts, or v_nominal when none does. The walk counts grid
+/// points in an integer, so no floating-point error accumulates over the
+/// steps. Every min-VDD search walks the grid through this.
+template <typename Pred>
+Volt lowest_grid_vdd(Volt v_floor, Volt v_nominal, Volt step, Pred ok) {
+  const auto n = static_cast<long>(std::llround((v_nominal - v_floor) / step));
+  for (long i = 0; i <= n; ++i) {
+    const Volt v = v_floor + step * static_cast<double>(i);
+    if (ok(v)) return v;
+  }
+  return v_nominal;
+}
 
 }  // namespace pcs
