@@ -55,7 +55,6 @@ class MultiHierarchy {
   /// Core `c`'s hierarchy: its private L1s over the shared L2. PCS flushes
   /// of its L1s route through it (and the shared L2's through core 0's).
   Hierarchy& core(u32 c) noexcept { return *cores_[c]; }
-  CacheLevel& l1i(u32 c) noexcept { return cores_[c]->l1i(); }
   CacheLevel& l1d(u32 c) noexcept { return cores_[c]->l1d(); }
   CacheLevel& l2() noexcept { return *l2_; }
   const CoherenceStats& coherence() const noexcept { return coherence_; }
